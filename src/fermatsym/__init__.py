@@ -43,7 +43,6 @@ from .qrsolver import (
     parse,
     pretty,
     simplify,
-    symbol_sign,
     to_classes,
 )
 from .symplectic import (
@@ -98,7 +97,6 @@ __all__ = [
     "solvable_over_Ql",
     "squarefree_part",
     "sweep",
-    "symbol_sign",
     "to_classes",
     "transform",
     "verify",

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from . import curvedb, localobs, qrsolver
+from . import curvedb, localobs, ntkernel, qrsolver
 from .curvedb import CurveDatabase, load_overrides
 from .freypipe import (
     EquationReport,
@@ -31,6 +31,8 @@ _DOMAIN_ERRORS = (
     curvedb.UnknownLevelError,
     curvedb.OverrideFormatError,
     localobs.PreconditionError,
+    ntkernel.FactorizationError,
+    qrsolver.ClassBoundError,
     UnknownEquationError,
     ScenarioFormatError,
     IncompatibleCandidateError,

@@ -86,10 +86,6 @@ def invariants(model: WeierstrassModel) -> Invariants:
     return Invariants(b2, b4, b6, b8, c4, c6, delta, num, den)
 
 
-def discriminant(model: WeierstrassModel) -> int:
-    return invariants(model).delta
-
-
 def transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> WeierstrassModel:
     """Coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
 

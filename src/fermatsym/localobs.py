@@ -17,10 +17,9 @@ Three mechanisms, corresponding to where the prime sits:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .ntkernel import is_prime, primes_in, valuation
+from .ntkernel import factor_small, is_prime, primes_in, valuation
 
 
 class PreconditionError(Exception):
@@ -234,18 +233,8 @@ def solvable_over_Ql(
 
 
 def bad_primes(a: int, b: int, c: int, p: int) -> list[int]:
-    n = abs(p * a * b * c)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """The primes dividing p*a*b*c; FactorizationError past trial division."""
+    return sorted(factor_small(p * a * b * c).factors)
 
 
 def has_local_obstruction(
@@ -268,34 +257,35 @@ def has_local_obstruction(
             return ObstructionSearch(eq, p, ell, "hensel_descent", None, False, cutoff)
         if res.status == "undecided":
             undecided.append(ell)
-    scanned_past_cutoff = False
+    q, k = _scan_q(a, b, c, p, k_max)
+    if q is not None:
+        return ObstructionSearch(eq, p, q, "fast_subgroup", k, False, cutoff)
+    certified = k_max * p + 1 >= cutoff and not undecided
+    return ObstructionSearch(eq, p, None, None, None, certified, cutoff, tuple(undecided))
+
+
+def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int | None]:
+    """(q, k) for the first q = kp + 1 (k even, k <= k_max) prime to abc that
+    fails the subgroup test, or (None, None).  The scan stops at the Weil
+    cutoff, above which no q can fail."""
+    cutoff = weil_cutoff(p)
     for k in range(2, k_max + 1, 2):
         q = k * p + 1
         if not is_prime(q) or (a * b * c) % q == 0:
             continue
         if q > cutoff:
-            scanned_past_cutoff = True
             break
         if not solvable_mod_q_fast(a, b, c, p, q):
-            return ObstructionSearch(eq, p, q, "fast_subgroup", k, False, cutoff)
-    covered = scanned_past_cutoff or (k_max * p + 1 >= cutoff)
-    certified = covered and not undecided
-    return ObstructionSearch(eq, p, None, None, None, certified, cutoff, tuple(undecided))
+            return q, k
+    return None, None
 
 
 def _sweep_one(args) -> SweepEntry:
     a, b, c, p, k_max = args
     started = time.monotonic_ns()
-    found_q = found_k = None
-    for k in range(2, k_max + 1, 2):
-        q = k * p + 1
-        if not is_prime(q) or (a * b * c) % q == 0:
-            continue
-        if not solvable_mod_q_fast(a, b, c, p, q):
-            found_q, found_k = q, k
-            break
+    q, k = _scan_q(a, b, c, p, k_max)
     elapsed_ms = (time.monotonic_ns() - started) // 1_000_000
-    return SweepEntry(p, found_q, found_k, elapsed_ms)
+    return SweepEntry(p, q, k, elapsed_ms)
 
 
 def sweep(
@@ -316,5 +306,7 @@ def sweep(
     tasks = [(a, b, c, p, k_max) for p in primes_in(p_min, p_max) if p > 2]
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # its import costs 2 MB; only jobs > 1 pays it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sweep_one, tasks, chunksize=16))

@@ -3,15 +3,24 @@
 Boolean combinations of conditions (n/p) = +-1 are converted into congruence
 classes of the prime p with exact Dirichlet densities.  Includes the small
 text DSL for constraint expressions, e.g. ``(-2)=-1 & ((2)=+1 | !(3)=-1)``.
+
+Every kernel n is an F_2 vector over one basis of characters of p: (-1/p),
+(2/p) and (q*/p) = (p/q) for odd primes q, where q* = (-1)^((q-1)/2) q.
+``simplify`` does linear algebra on these vectors; ``to_classes`` evaluates
+an expression once, as a truth table over the sign patterns of the basis,
+and reads the modulus and the residues off that table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, prod
+from operator import and_, or_
 
-from .ntkernel import factor_small, is_prime, jacobi, squarefree_part
+from .ntkernel import factor_small, jacobi, squarefree_part
 from .symplectic import QRConstraint
 
 
@@ -19,10 +28,6 @@ class ParseError(Exception):
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} at column {column}")
         self.column = column
-
-
-class InsufficientModulusError(Exception):
-    """The modulus does not determine the requested symbol."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +223,37 @@ def parse(text: str) -> SignExpr:
 
 
 # ---------------------------------------------------------------------------
-# congruence classes
+# characters and congruence classes
 # ---------------------------------------------------------------------------
+
+# Largest canonical modulus, and largest number 2^r of sign patterns of r
+# basis characters, that to_classes enumerates; beyond it, ClassBoundError.
+CLASS_BOUND = 10**6
+
+
+class ClassBoundError(Exception):
+    """The answer needs more residues or sign patterns than CLASS_BOUND."""
+
+
+def _support(n: int) -> frozenset[int]:
+    """Squarefree n as a set of basis characters: -1, 2 or an odd prime q.
+
+    (n/p) is the product of the characters in the set.  Since
+    (q/p) = (q*/p) (-1/p)^((q-1)/2), each q = 3 (mod 4) also flips -1.
+    """
+    places = {-1} if n < 0 else set()
+    for q in factor_small(abs(n)).factors:
+        places ^= {q, -1} if q % 4 == 3 else {q}
+    return frozenset(places)
+
+
+def character(base: int, r: int) -> int:
+    """The basis character of ``base`` at primes p = r: (-1/p), (2/p) or (p/q)."""
+    if base == -1:
+        return 1 if r % 4 == 1 else -1
+    if base == 2:
+        return 1 if r % 8 in (1, 7) else -1
+    return jacobi(r, base)
 
 
 def euler_phi(m: int) -> int:
@@ -255,92 +289,64 @@ class CongruenceClassSet:
         return " or ".join(f"p ≡ {r} (mod {m})" for r, m in parts)
 
 
-def symbol_sign(q_or_unit: int, r: int, modulus: int) -> int:
-    """Constant value of the Legendre symbol (q/p) on the class p ≡ r (mod modulus).
-
-    The unit -1 is read off r mod 4, the prime 2 off r mod 8, and an odd
-    prime q via quadratic reciprocity from r mod 4 and r mod q.  The modulus
-    must be divisible by 8 and by every odd prime used.
-    """
-    if modulus % 8 != 0:
-        raise InsufficientModulusError(f"modulus {modulus} must be divisible by 8")
-    if gcd(r, modulus) != 1:
-        raise ValueError(f"residue {r} not coprime to modulus {modulus}")
-    if q_or_unit == -1:
-        return 1 if r % 4 == 1 else -1
-    if q_or_unit == 2:
-        return 1 if r % 8 in (1, 7) else -1
-    q = q_or_unit
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"symbol base must be -1, 2 or an odd prime, got {q}")
-    if modulus % q != 0:
-        raise InsufficientModulusError(f"modulus {modulus} must be divisible by {q}")
-    sign = jacobi(r % q, q)
-    if q % 4 == 3 and r % 4 == 3:
-        sign = -sign
-    return sign
-
-
-def constraint_sign(constraint: QRConstraint, r: int, modulus: int) -> bool:
-    """Whether (n/p) = sign holds on the class p ≡ r (mod modulus)."""
-    n = constraint.n
-    value = 1
-    if n < 0:
-        value *= symbol_sign(-1, r, modulus)
-        n = -n
-    for q in factor_small(n).factors:  # n squarefree: every exponent is 1
-        value *= symbol_sign(q, r, modulus)
-    return value == constraint.sign
-
-
-def evaluate(expr: SignExpr, r: int, modulus: int) -> bool:
-    if isinstance(expr, Atom):
-        return constraint_sign(expr.constraint, r, modulus)
-    if isinstance(expr, Not):
-        return not evaluate(expr.operand, r, modulus)
-    if isinstance(expr, And):
-        return all(evaluate(sub, r, modulus) for sub in expr.operands)
-    if isinstance(expr, Or):
-        return any(evaluate(sub, r, modulus) for sub in expr.operands)
-    raise TypeError(f"not a SignExpr node: {expr!r}")
-
-
-def required_modulus(expr: SignExpr) -> int:
-    odd_primes = set()
-    for constraint in atoms_of(expr):
-        for q in factor_small(abs(constraint.n)).factors:
-            if q != 2:
-                odd_primes.add(q)
-    m = 8
-    for q in sorted(odd_primes):
-        m *= q
-    return m
-
-
-def canonicalize(classes: CongruenceClassSet) -> CongruenceClassSet:
-    """Smallest modulus expressing the same set of primes."""
-    m = classes.modulus
-    divisors = sorted(d for d in range(1, m + 1) if m % d == 0)
-    coprime = [r for r in range(m) if gcd(r, m) == 1] or [0]
-    for d in divisors:
-        groups: dict[int, set[bool]] = {}
-        for r in coprime:
-            groups.setdefault(r % d, set()).add(r in classes.residues)
-        if all(len(v) == 1 for v in groups.values()):
-            residues = frozenset(rd for rd, v in groups.items() if True in v)
-            if d == 1:
-                return CongruenceClassSet(1, residues)
-            return CongruenceClassSet(d, residues)
-    return classes
-
-
 def to_classes(expr: SignExpr) -> CongruenceClassSet:
-    """All classes p ≡ r (mod M) on which the expression holds."""
-    m = required_modulus(expr)
-    residues = frozenset(
-        r for r in range(1, m) if gcd(r, m) == 1 and evaluate(expr, r, m)
-    )
-    return canonicalize(CongruenceClassSet(m, residues))
+    """All classes p ≡ r (mod M) on which the expression holds, M minimal.
+
+    Bit x of the truth table is the expression's value where the basis
+    characters in x are -1 and the others +1.  Each pattern holds on the
+    same share of primes, and M is the product of the moduli of the
+    characters the table depends on: 8 for (2/p), else 4 for (-1/p), and q.
+    """
+    basis = sorted(set().union(*(_support(c.n) for c in atoms_of(expr))))
+    size = 1 << len(basis)
+    if size > CLASS_BOUND:
+        raise ClassBoundError(f"2^{len(basis)} sign patterns exceed the bound {CLASS_BOUND}")
+    full = (1 << size) - 1
+    # column of character i: the patterns x with bit i set
+    columns = {b: full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+               for i, b in enumerate(basis)}
+
+    def table(e: SignExpr) -> int:
+        if isinstance(e, Atom):
+            odd = reduce(lambda t, b: t ^ columns[b], _support(e.constraint.n), 0)
+            return odd if e.constraint.sign < 0 else full ^ odd
+        if isinstance(e, Not):
+            return full ^ table(e.operand)
+        tables = (table(sub) for sub in e.operands)
+        return reduce(and_, tables, full) if isinstance(e, And) else reduce(or_, tables, 0)
+
+    truth = table(expr)
+    # the characters it depends on: flipping one changes some entry
+    used = [b for i, b in enumerate(basis)
+            if truth & (full ^ columns[b]) != (truth & columns[b]) >> (1 << i)]
+    two = 8 if 2 in used else 4 if -1 in used else 1
+    parts = ([two] if two > 1 else []) + [q for q in used if q > 2]
+    modulus = prod(parts)
+    if modulus > CLASS_BOUND:
+        raise ClassBoundError(f"modulus {modulus} exceeds the bound {CLASS_BOUND}")
+    # per prime-power part m of the modulus: its residues by the pattern they
+    # give the part's characters, times the CRT idempotent for m, so that one
+    # residue from each part sums to a residue mod the modulus
+    fibres = []
+    for m in parts:
+        bits = [(1 << basis.index(b), b) for b in used if (b == m if m % 2 else b < 3)]
+        idempotent = modulus // m * pow(modulus // m, -1, m)
+        fibre: dict[int, list[int]] = {}
+        for r in range(1, m):
+            if gcd(r, m) == 1:
+                x = sum(bit for bit, b in bits if character(b, r) < 0)
+                fibre.setdefault(x, []).append(r * idempotent % modulus)
+        fibres.append((sum(bit for bit, _ in bits), fibre))
+    unused = sum(1 << i for i, b in enumerate(basis) if b not in used)
+    holds = format(truth, f"0{size}b")[::-1]
+    residues: set[int] = set()
+    for x in range(size):
+        if holds[x] == "1" and not x & unused:
+            combined = [0]
+            for mask, fibre in fibres:
+                combined = [(s + t) % modulus for s in combined for t in fibre[x & mask]]
+            residues.update(combined)
+    return CongruenceClassSet(modulus, frozenset(residues))
 
 
 def density(classes: CongruenceClassSet) -> Fraction:
@@ -350,50 +356,51 @@ def density(classes: CongruenceClassSet) -> Fraction:
     return Fraction(len(classes.residues), euler_phi(classes.modulus))
 
 
-def lift(classes: CongruenceClassSet, modulus: int) -> CongruenceClassSet:
-    """The same prime set as residues modulo a multiple of the modulus."""
-    if modulus % max(classes.modulus, 1) != 0:
-        raise ValueError(f"{modulus} is not a multiple of {classes.modulus}")
-    if classes.modulus <= 1:
-        residues = frozenset(r for r in range(modulus) if gcd(r, modulus) == 1) if classes.residues else frozenset()
-        if modulus == 1:
-            return classes
-        return CongruenceClassSet(modulus, residues)
-    residues = frozenset(
-        r
-        for r in range(modulus)
-        if gcd(r, modulus) == 1 and r % classes.modulus in classes.residues
-    )
-    return CongruenceClassSet(modulus, residues)
+def _divisors(m: int) -> list[int]:
+    out = [1]
+    for q, e in factor_small(m).factors.items():
+        out = [d * q**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
-def union(a: CongruenceClassSet, b: CongruenceClassSet) -> CongruenceClassSet:
-    m = (a.modulus * b.modulus) // gcd(max(a.modulus, 1), max(b.modulus, 1))
-    la, lb = lift(a, m), lift(b, m)
-    return canonicalize(CongruenceClassSet(m, la.residues | lb.residues))
+def canonicalize(classes: CongruenceClassSet) -> CongruenceClassSet:
+    """Smallest modulus expressing the same set of primes.
+
+    The divisors d of M at which the set is a union of classes mod d are
+    closed under gcd, so dividing M by one prime at a time, for as long as
+    the set stays such a union, reaches the smallest.
+    """
+    m, residues, phi = classes.modulus, classes.residues, euler_phi(classes.modulus)
+    d = m
+    for q in factor_small(m).factors:
+        while d % q == 0:
+            # a union of classes mod d // q iff its image there lifts to no more
+            image = {r % (d // q) for r in residues}
+            if len(image) * phi != len(residues) * euler_phi(d // q):
+                break
+            d //= q
+    return CongruenceClassSet(d, frozenset(r % d for r in residues))
 
 
 def decompose(classes: CongruenceClassSet) -> list[tuple[int, int]]:
     """Greedy cover by single classes of the smallest possible moduli.
 
     Returns (residue, modulus) pairs; e.g. {5,13,23} mod 24 comes out as
-    [(5, 8), (23, 24)].
+    [(5, 8), (23, 24)].  For each divisor d of M in turn, the class rd mod d
+    is taken iff all phi(M)/phi(d) of its residues mod M are still uncovered.
     """
     m = classes.modulus
     if m <= 1:
         return [(1, 1)] if classes.residues else []
-    remaining = set(classes.residues)
-    out = []
-    for d in sorted(d for d in range(1, m + 1) if m % d == 0):
-        for rd in range(d):
-            if gcd(rd, d) != 1 and d > 1:
-                continue
-            fiber = {r for r in range(m) if gcd(r, m) == 1 and r % d == rd}
-            if fiber and fiber <= remaining:
-                out.append((rd, d))
-                remaining -= fiber
-        if not remaining:
-            break
+    remaining, out, phi = set(classes.residues), [], euler_phi(m)
+    for d in _divisors(m):
+        fibre = phi // euler_phi(d)
+        whole = {rd for rd, n in Counter(r % d for r in remaining).items() if n == fibre}
+        if whole:
+            out.extend((rd, d) for rd in whole)
+            remaining = {r for r in remaining if r % d not in whole}
+            if not remaining:
+                break
     return sorted(out, key=lambda rm: (rm[1], rm[0]))
 
 
@@ -419,22 +426,12 @@ class Contradiction:
 CONTRADICTION = Contradiction()
 
 
-def _support(n: int) -> frozenset[int]:
-    # squarefree n as a set of "places": -1 for the sign, primes for the rest
-    places = set()
-    if n < 0:
-        places.add(-1)
-        n = -n
-    places.update(factor_small(n).factors)
-    return frozenset(places)
-
-
 def simplify(constraints: list[QRConstraint]) -> list[QRConstraint] | Contradiction:
     """Minimal equivalent constraint set, or the contradiction sentinel.
 
-    Constraints are F_2-linear in the prime-and-sign support of their
-    kernels, so multiplicatively implied members are exactly the linearly
-    dependent ones.  Kept constraints are chosen smallest-kernel-first.
+    Constraints are F_2-linear in the character vectors of their kernels
+    (``_support``), so multiplicatively implied members are exactly the
+    linearly dependent ones.  Kept constraints are chosen smallest-kernel-first.
     """
     ordered = sorted(constraints, key=lambda c: (abs(c.n), c.n < 0, -c.sign))
     pivots: dict[int, tuple[frozenset[int], int]] = {}

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -116,6 +117,11 @@ class TestObstruct:
         assert doc["obstruction"] is None
         assert doc["certified"] is False
 
+    def test_unfactorable_coefficients_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "obstruct", "--eq", "999999937,999999929,1", "--p", "3")
+        assert code == 2
+        assert "trial-division bound" in err
+
     def test_deterministic_modulo_elapsed(self, capsys, schema):
         _, doc1, _ = run_json(capsys, schema, "obstruct", "--eq", "3,4,5", "--p", "5")
         _, doc2, _ = run_json(capsys, schema, "obstruct", "--eq", "3,4,5", "--p", "5")
@@ -163,6 +169,30 @@ class TestDensity:
         code, _, err = run_cli(capsys, "density", "(2)=")
         assert code == 2
         assert "column 5" in err
+
+    def test_five_odd_primes(self, capsys, schema):
+        code, doc, _ = run_json(capsys, schema, "density", "(3)=-1 & (5)=1 & (7)=-1 & (11)=1 & (13)=-1")
+        assert code == 0
+        assert doc["density"] == "1/32"
+        assert doc["classes"]["modulus"] == 4 * 3 * 5 * 7 * 11 * 13  # no (2/p): the 2-part is 4
+
+    def test_modulus_past_the_bound_exit_2(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "density", "(10007)=1 & (10009)=1")
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert "exceeds the bound" in err
+
+    def test_constant_expression_on_a_large_prime(self, capsys):
+        code, out, _ = run_cli(capsys, "density", "(1000003)=1 | (1000003)=-1")
+        assert code == 0
+        assert "all p; density 1/1" in out
+
+    def test_unfactorable_kernel_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "density", "(1000000000000000003)=1")
+        assert code == 2
+        assert "trial-division bound" in err
 
 
 class TestCurve:

@@ -15,13 +15,13 @@ from fermatsym.freypipe import (
     run_equation,
     scenarios,
 )
+from fermatsym.ntkernel import jacobi, primes_in
 from fermatsym.qrsolver import (
     CongruenceClassSet,
     Or,
     atom,
     decompose,
     parse,
-    symbol_sign,
     to_classes,
 )
 from fermatsym.symplectic import QRConstraint, SymplecticType
@@ -182,21 +182,24 @@ class TestRunEquation:
         assert to_classes(all_of(conditions)) == run_equation(3, 8, 21).classes
 
     def test_dropping_y_even_strictly_enlarges(self):
-        from fermatsym.qrsolver import all_of, lift
+        from fermatsym.qrsolver import all_of
 
         db = CurveDatabase()
         y_odd = scenarios(3, 8, 21, db=db)[0]
         conditions = [run_case(y_odd, db.get(label)).elimination for label in y_odd.candidates]
-        odd_only = lift(to_classes(all_of(conditions)), 24)
-        full = lift(run_equation(3, 8, 21).classes, 24)
-        assert full.residues < odd_only.residues
+        odd_only = to_classes(all_of(conditions))
+        full = run_equation(3, 8, 21).classes
+        primes = primes_in(11, 1000)
+        in_full = {p for p in primes if p % full.modulus in full.residues}
+        in_odd_only = {p for p in primes if p % odd_only.modulus in odd_only.residues}
+        assert in_full < in_odd_only
 
     def test_every_output_class_has_minus_two_nonresidue(self):
-        report = run_equation(3, 8, 21)
-        m = report.classes.modulus
-        for r in report.classes.residues:
-            total = symbol_sign(-1, r, 24) * symbol_sign(2, r, 24)
-            assert total == -1
+        classes = run_equation(3, 8, 21).classes
+        inside = [p for p in primes_in(11, 1000) if p % classes.modulus in classes.residues]
+        assert len(inside) > 50
+        for p in inside:
+            assert jacobi(-2, p) == -1, p
 
     def test_output_decomposition_parts_disjoint_mod_24(self):
         for eq in ((3, 8, 21), (3, 4, 5)):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fermatsym.localobs import (
@@ -12,7 +14,7 @@ from fermatsym.localobs import (
     sweep,
     weil_cutoff,
 )
-from fermatsym.ntkernel import is_prime, primes_in
+from fermatsym.ntkernel import FactorizationError, is_prime, primes_in
 
 
 def projective_points_exist(a, b, c, p, q):
@@ -199,6 +201,12 @@ class TestHasLocalObstruction:
     def test_bad_primes(self):
         assert bad_primes(3, 8, 21, 5) == [2, 3, 5, 7]
         assert bad_primes(3, 4, 5, 7) == [2, 3, 5, 7]
+
+    def test_bad_primes_refuses_unfactorable_input_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(FactorizationError):
+            bad_primes(999999937, 999999929, 1, 3)
+        assert time.perf_counter() - started < 5
 
 
 class TestSweep:

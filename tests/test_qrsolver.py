@@ -1,74 +1,141 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatsym.ntkernel import jacobi, primes_in
+from fermatsym.ntkernel import factor_small, jacobi, primes_in
 from fermatsym.qrsolver import (
+    CLASS_BOUND,
     CONTRADICTION,
     FALSE,
     TRUE,
     And,
     Atom,
+    ClassBoundError,
     CongruenceClassSet,
-    InsufficientModulusError,
     Not,
     Or,
     ParseError,
+    _support,
+    all_of,
     atom,
+    atoms_of,
     canonicalize,
+    character,
     decompose,
     density,
-    lift,
     parse,
     pretty,
     simplify,
-    symbol_sign,
     to_classes,
-    union,
 )
 from fermatsym.symplectic import QRConstraint
 
+# ---------------------------------------------------------------------------
+# reference: classes by enumerating every residue mod M = 8 * (odd primes),
+# reading each Legendre symbol off the residue by reciprocity, then scanning
+# every divisor of M.  Slow, and independent of the character truth tables.
+# ---------------------------------------------------------------------------
+
+
+def ref_symbol(n, r):
+    """(n/p) for squarefree n on the class of p = r mod 8 * (odd primes of n)."""
+    value = 1 if n > 0 or r % 4 == 1 else -1
+    for q in factor_small(abs(n)).factors:
+        if q == 2:
+            value *= 1 if r % 8 in (1, 7) else -1
+        else:
+            value *= jacobi(r % q, q) * (-1 if q % 4 == 3 and r % 4 == 3 else 1)
+    return value
+
+
+def ref_evaluate(expr, r):
+    if isinstance(expr, Atom):
+        return ref_symbol(expr.constraint.n, r) == expr.constraint.sign
+    if isinstance(expr, Not):
+        return not ref_evaluate(expr.operand, r)
+    results = (ref_evaluate(sub, r) for sub in expr.operands)
+    return all(results) if isinstance(expr, And) else any(results)
+
+
+def ref_raw_classes(expr):
+    """The satisfied residues mod 8 * (every odd prime in the kernels)."""
+    odd = {q for c in atoms_of(expr) for q in factor_small(abs(c.n)).factors if q != 2}
+    m = 8 * prod(odd)
+    return CongruenceClassSet(m, frozenset(r for r in range(1, m) if gcd(r, m) == 1 and ref_evaluate(expr, r)))
+
+
+def ref_coprime(m):
+    return [r for r in range(m) if gcd(r, m) == 1] or [0]
+
+
+def ref_fibres(m, d):
+    fibres = {}
+    for r in ref_coprime(m):
+        fibres.setdefault(r % d, set()).add(r)
+    return fibres
+
+
+def ref_canonicalize(classes):
+    m = classes.modulus
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        fibres = ref_fibres(m, d)
+        if all(f <= classes.residues or not f & classes.residues for f in fibres.values()):
+            return CongruenceClassSet(d, frozenset(rd for rd, f in fibres.items() if f <= classes.residues))
+
+
+def ref_decompose(classes):
+    m = classes.modulus
+    if m <= 1:
+        return [(1, 1)] if classes.residues else []
+    remaining, out = set(classes.residues), []
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        for rd, fibre in sorted(ref_fibres(m, d).items()):
+            if fibre <= remaining:
+                out.append((rd, d))
+                remaining -= fibre
+    return sorted(out, key=lambda rm: (rm[1], rm[0]))
+
+
+def ref_str(classes):
+    parts = ref_decompose(classes)
+    if not parts:
+        return "no classes (empty set)"
+    return "all p" if parts == [(1, 1)] else " or ".join(f"p ≡ {r} (mod {m})" for r, m in parts)
+
+
+def in_classes(p, classes):
+    return p % classes.modulus in classes.residues
+
 
 class TestSymbolSign:
+    # (n/p) is the product of the basis characters in _support(n)
     def test_two_mod_8(self):
         # Euler criterion at p = 5, 13, 29: 2 is a non-residue
-        assert symbol_sign(2, 5, 8) == -1
+        assert character(2, 5) == -1
         for p in (5, 13, 29):
             assert jacobi(2, p) == -1
 
     def test_minus_one_mod_4(self):
-        assert symbol_sign(-1, 1, 8) == 1
-        assert symbol_sign(-1, 3, 8) == -1
+        assert character(-1, 1) == 1
+        assert character(-1, 3) == -1
 
     def test_three_at_19_mod_24(self):
-        assert symbol_sign(3, 19, 24) == -1
+        assert _support(3) == {-1, 3}  # (3/p) = (-1/p) (-3/p)
+        assert character(-1, 19) * character(3, 19) == -1
         assert jacobi(3, 19) == -1  # brute-force-backed oracle value
 
-    def test_insufficient_modulus(self):
-        with pytest.raises(InsufficientModulusError):
-            symbol_sign(2, 3, 12)  # not divisible by 8
-        with pytest.raises(InsufficientModulusError):
-            symbol_sign(5, 1, 24)  # 5 does not divide 24
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            symbol_sign(9, 1, 72)
-        with pytest.raises(ValueError):
-            symbol_sign(-2, 1, 8)
-
     def test_matches_jacobi_for_all_primes_below_1000(self):
-        # exhaustive oracle check for n in {-1, +-2, +-3, +-6} with M = 24
-        atoms = {-1: [(-1,)], 2: [(2,)], -2: [(-1,), (2,)], 3: [(3,)],
-                 -3: [(-1,), (3,)], 6: [(2,), (3,)], -6: [(-1,), (2,), (3,)]}
-        for p in primes_in(5, 1000):
-            r = p % 24
-            for n, parts in atoms.items():
+        # exhaustive oracle check for n in {-1, +-2, +-3, +-6, +-5, +-7, 15, 21}
+        for p in primes_in(11, 1000):
+            for n in (-1, 2, -2, 3, -3, 6, -6, 5, -5, 7, -7, 15, 21):
                 predicted = 1
-                for (base,) in parts:
-                    predicted *= symbol_sign(base, r, 24)
+                for base in _support(n):
+                    predicted *= character(base, p)
                 assert predicted == jacobi(n, p), (n, p)
 
 
@@ -145,7 +212,9 @@ class TestToClasses:
     def test_constant_true_covers_everything(self):
         classes = to_classes(TRUE)
         assert density(classes) == 1
-        assert lift(classes, 8).residues == frozenset({1, 3, 5, 7})
+        assert classes == CongruenceClassSet(1, frozenset({0}))
+        assert str(classes) == "all p"
+        assert all(in_classes(p, classes) for p in primes_in(3, 200))
 
     def test_constant_false_empty(self):
         classes = to_classes(FALSE)
@@ -155,8 +224,19 @@ class TestToClasses:
     def test_union_is_lifted_union(self):
         e1 = parse("(2)=-1 & (-1)=+1")
         e2 = parse("(3)=-1")
-        both = to_classes(Or((e1, e2)))
-        assert both == union(to_classes(e1), to_classes(e2))
+        c1, c2, both = to_classes(e1), to_classes(e2), to_classes(Or((e1, e2)))
+        assert (c1.modulus, c2.modulus, both.modulus) == (8, 12, 24)
+        for p in primes_in(5, 1000):
+            assert in_classes(p, both) == (in_classes(p, c1) or in_classes(p, c2)), p
+
+    def test_past_the_bound(self):
+        with pytest.raises(ClassBoundError):  # modulus 4 * 10007 * 10009
+            to_classes(parse("(10007)=1 & (10009)=1"))
+        many = prod(primes_in(3, 100))  # 24 odd primes: 2^24 sign patterns
+        assert 1 << len(_support(many)) > CLASS_BOUND
+        with pytest.raises(ClassBoundError):
+            to_classes(atom(many, 1))
+        assert str(to_classes(parse("(1000003)=1 | (1000003)=-1"))) == "all p"
 
     def test_density_subadditive_with_equality_when_disjoint(self):
         e1 = parse("(2)=+1")
@@ -262,16 +342,83 @@ class TestProperties:
     def test_evaluation_matches_actual_primes(self, expr):
         # the class evaluation must agree with honest Jacobi symbols at
         # genuine primes in each class
-        from fermatsym.qrsolver import required_modulus
-
-        m = required_modulus(expr)
         classes = to_classes(expr)
-        for p in primes_in(m + 1, m + 400):
-            direct = _eval_at_prime(expr, p)
-            in_classes = (
-                p % classes.modulus in classes.residues if classes.modulus > 1 else bool(classes.residues)
-            )
-            assert direct == in_classes, (p, pretty(expr))
+        for p in primes_in(7, 1000):
+            assert _eval_at_prime(expr, p) == in_classes(p, classes), (p, pretty(expr))
+
+
+# the squarefree kernels over -1, 2, 3, 5, 7
+SMALL_KERNELS = [s * prod(sub) for s in (1, -1) for k in range(5) for sub in combinations((2, 3, 5, 7), k)]
+
+
+@st.composite
+def kernel_exprs(draw, max_depth=3):
+    """Expressions whose kernels are products over -1, 2 and at most three
+    of 3, 5, 7, 11 (so M <= 8 * 5 * 7 * 11), times a square."""
+    places = [-1, 2] + draw(st.lists(st.sampled_from([3, 5, 7, 11]), max_size=3, unique=True))
+
+    def expr(depth):
+        kind = draw(st.sampled_from(["atom", "atom", "not", "and", "or"])) if depth else "atom"
+        if kind == "atom":
+            kernel = prod(draw(st.lists(st.sampled_from(places), unique=True)))
+            return atom(kernel * draw(st.sampled_from([1, 4, 9])), draw(st.sampled_from([1, -1])))
+        if kind == "not":
+            return Not(expr(depth - 1))
+        parts = tuple(expr(depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return And(parts) if kind == "and" else Or(parts)
+
+    return expr(max_depth)
+
+
+@st.composite
+def residue_sets(draw):
+    """A union of random classes mod divisors of m | 840, a few residues toggled."""
+    m = draw(st.sampled_from([d for d in range(1, 841) if 840 % d == 0]))
+    coprime = ref_coprime(m)
+    picked = draw(st.lists(st.tuples(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]),
+                                     st.sampled_from(coprime)), max_size=4))
+    residues = {r for r in coprime for d, x in picked if r % d == x % d}
+    residues ^= draw(st.sets(st.sampled_from(coprime), max_size=5))
+    return CongruenceClassSet(m, frozenset(residues))
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_exprs())
+    def test_to_classes_str_and_density(self, expr):
+        raw = ref_raw_classes(expr)
+        want = ref_canonicalize(raw)
+        got = to_classes(expr)
+        assert got == want, pretty(expr)
+        assert str(got) == ref_str(want)
+        assert density(got) == Fraction(len(raw.residues), len(ref_coprime(raw.modulus)))
+        assert canonicalize(raw) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(residue_sets())
+    def test_decompose_and_canonicalize_on_residue_sets(self, classes):
+        assert decompose(classes) == ref_decompose(classes)
+        assert canonicalize(classes) == ref_canonicalize(classes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(SMALL_KERNELS), st.sampled_from([1, -1])), max_size=5))
+    def test_simplify_keeps_what_the_classes_do_not_imply(self, pairs):
+        # smallest kernel first, a constraint is kept iff the kept ones do not
+        # decide it, and the set is contradictory iff they decide it wrongly
+        def classes(cs):
+            return ref_canonicalize(ref_raw_classes(all_of(Atom(c) for c in cs)))
+
+        constraints = [QRConstraint(n, s) for n, s in pairs]
+        expected, current = [], classes([])
+        for c in sorted(constraints, key=lambda c: (abs(c.n), c.n < 0, -c.sign)):
+            narrowed = classes(expected + [c])
+            if not narrowed.residues:
+                expected = CONTRADICTION
+                break
+            if narrowed != current:
+                expected.append(c)
+                current = narrowed
+        assert simplify(constraints) == expected
 
 
 def _eval_at_prime(expr, p):
