@@ -7,7 +7,7 @@ The library reproduces two kinds of results about a x^p + b y^p + c z^p = 0:
   Frey-curve discriminant data with candidate curves at the lowered level
   through symplectic criteria (``freypipe``);
 * local obstructions: primes ell at which the equation has no Q_ell points,
-  found by finite-field subgroup tests with Hensel certificates
+  found by one search over images of x -> x^p with Hensel certificates
   (``localobs``).
 
 See the README for the CLI and file formats.

@@ -1,13 +1,13 @@
 """Local solvability of a x^p + b y^p + c z^p = 0 over Q_ell.
 
-Three mechanisms, corresponding to where the prime sits:
+One engine searches the images of x -> x^p mod ell^k, level by level, for
+a solution that lifts by Hensel's lemma.  Where the prime sits:
 
-* q = kp + 1 with q coprime to p*a*b*c: the p-th powers in F_q* form a
-  subgroup of size k, so solvability over F_q (equivalently over Q_q, by
-  smoothness) is a k^2-sized search.
-* bad primes ell | p*a*b*c: bounded search over primitive triples modulo
-  ell^k with a Hensel lifting certificate; "undecided" is a first-class
-  outcome when the depth cap is hit, never a silent wrong answer.
+* q = kp + 1 prime to p*a*b*c: the p-th powers in F_q* are a subgroup of
+  size k and every F_q point lifts to Q_q (smoothness), so level 1 decides.
+* bad primes ell | p*a*b*c: up to a depth cap; "undecided" is a
+  first-class outcome when the cap or IMAGE_BOUND is hit, never a silent
+  wrong answer.
 * large good primes: a smooth plane curve of genus (p-1)(p-2)/2 over F_q
   has points once q + 1 > (p-1)(p-2)*sqrt(q), so primes above the cutoff
   ((p-1)(p-2))^2 can never obstruct, which turns "no obstruction" into a
@@ -16,10 +16,18 @@ Three mechanisms, corresponding to where the prime sits:
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from dataclasses import dataclass
+from math import gcd
 
 from .ntkernel import factor_small, is_prime, primes_in, valuation
+
+# The most unit p-th powers a level may hold (p^(k-1) mod p^k): deeper
+# levels at large ell = p are "undecided" instead of running for minutes.
+# `obstruct` on the paper equations for p <= 29 needs at most 29 * 28.
+IMAGE_BOUND = 200_000
 
 
 class PreconditionError(Exception):
@@ -51,7 +59,7 @@ class ObstructionSearch:
     p: int
     obstruction: int | None
     method: str | None  # "hensel_descent" | "fast_subgroup"
-    k: int | None  # obstruction = k*p + 1 when found by the subgroup test
+    k: int | None  # obstruction = k*p + 1 when found at a good prime q
     certified: bool  # "no obstruction" proved up to the Weil cutoff
     cutoff: int
     undecided: tuple[int, ...] = ()
@@ -71,23 +79,107 @@ def weil_cutoff(p: int) -> int:
     return g2 * g2
 
 
-def _pth_power_subgroup(p: int, q: int) -> set[int]:
-    # the image of x -> x^p on F_q*, built by closing under a few generators
-    k = (q - 1) // p
-    subgroup = {1}
-    for t in range(2, q):
-        if len(subgroup) == k:
-            break
-        g = pow(t, p, q)
-        if g in subgroup:
+def _check_exponent(p: int) -> None:
+    if p < 3 or not is_prime(p):
+        raise PreconditionError(f"exponent must be an odd prime, got {p}")
+
+
+def _check_k_max(k_max: int) -> None:
+    if k_max < 2:
+        raise PreconditionError(f"k_max must be at least 2, got {k_max}")
+
+
+def _unit_power_count(p: int, ell: int, m: int) -> int:
+    # the units mod ell^m are cyclic for odd ell, and x -> x^p permutes them
+    # for ell = 2 (p is odd), so phi/gcd(p, phi) of them are p-th powers
+    phi = ell**m - ell ** (m - 1)
+    return phi // gcd(p, phi)
+
+
+def _unit_powers(p: int, ell: int, m: int) -> dict[int, int]:
+    """{x^p mod ell^m: x} over the units x, closing the subgroup under t^p."""
+    modulus = ell**m
+    size = _unit_power_count(p, ell, m)
+    powers = {1: 1}
+    t = 1
+    while len(powers) < size:
+        t += 1
+        if t % ell == 0:
             continue
-        power = g
-        extended = set(subgroup)
-        while power not in subgroup:
-            extended.update(x * power % q for x in subgroup)
-            power = power * g % q
-        subgroup = extended
-    return subgroup
+        g = pow(t, p, modulus)
+        coset, root, new = g, t, {}
+        while coset not in powers:
+            for x, r in powers.items():
+                new[x * coset % modulus] = r * root % modulus
+            coset, root = coset * g % modulus, root * t % modulus
+        powers.update(new)
+    return powers
+
+
+def _image(p: int, ell: int, k: int) -> dict[int, tuple[int, int]]:
+    """{x^p mod ell^k: (x, v(x))}.  At 0, (0, k) stands for every x with
+    ell^k | x^p; none of them can certify (2 (p - 1) ceil(k/p) > k), and
+    the stand-in valuation k keeps that so for c x^p mod ell^(k + v(c))."""
+    image = {0: (0, k)}
+    for j in range((k - 1) // p + 1):  # j p < k
+        scale, lift = ell ** (j * p), ell**j
+        for u, r in _unit_powers(p, ell, k - j * p).items():
+            image[scale * u] = (lift * r, j)
+    return image
+
+
+def _chart_level(coeffs, p, ell, chart, level, image):
+    """Solutions mod ell^level with coordinate `chart` set to 1: a certified
+    Witness, True if none is certified, None if there are none.  Each image
+    s leaves c t = -a - b s, one lookup in the image mod ell^(level - v(c))."""
+    i, j = [n for n in range(3) if n != chart]
+    a, b, c = coeffs[chart], coeffs[i], coeffs[j]
+    modulus = ell**level
+    vc = min(valuation(c, ell), level)
+    shift, low = ell**vc, ell ** (level - vc)
+    inverse = pow(c // shift, -1, low)
+    targets = image(level - vc)
+    derivative = [valuation(p * n, ell) for n in coeffs]
+    found = None
+    for s, (x, vx) in image(level).items():
+        r = (-a - b * s) % modulus
+        if r % shift:
+            continue
+        hit = targets.get(r // shift * inverse % low)
+        if hit is None:
+            continue
+        triple, vals = [1, 1, 1], [0, 0, 0]
+        (triple[i], vals[i]), (triple[j], vals[j]) = (x, vx), hit
+        # Hensel: the point lifts along coordinate n once 2 v(dF/dx_n) < level
+        for n in range(3):
+            e = derivative[n] + (p - 1) * vals[n]
+            if 2 * e < level:
+                return Witness(tuple(triple), level, n, e)
+        found = True
+    return found
+
+
+def _search(coeffs, p: int, ell: int, max_level: int) -> LocalResult:
+    """Charts 0, 1, 2 in turn, each level by level: "unsolvable" at its
+    first level without solutions, "solvable" at its first certified level,
+    "undecided" at max_level or where the image would pass IMAGE_BOUND."""
+    cap = 0
+    while cap < max_level and _unit_power_count(p, ell, cap + 1) <= IMAGE_BOUND:
+        cap += 1
+    image = functools.cache(functools.partial(_image, p, ell))  # this call only
+    undecided, best_levels = False, 0
+    for chart in range(3):
+        levels, found = 0, True
+        while found is True and levels < cap:
+            levels += 1
+            found = _chart_level(coeffs, p, ell, chart, levels, image)
+        best_levels = max(best_levels, levels)
+        if isinstance(found, Witness):
+            if not check_witness(*coeffs, p, ell, found):
+                raise RuntimeError(f"witness {found} fails check_witness")
+            return LocalResult("solvable", ell, found, levels)
+        undecided = undecided or found is True
+    return LocalResult("undecided" if undecided else "unsolvable", ell, None, best_levels)
 
 
 def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
@@ -102,49 +194,16 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
         raise PreconditionError(f"{q} is not 1 mod {p}")
     if (p * a * b * c) % q == 0:
         raise PreconditionError(f"{q} divides p*a*b*c")
-    subgroup = _pth_power_subgroup(p, q)
-    a_vals = [0] + [a * s % q for s in subgroup]
-    b_vals = [0] + [b * s % q for s in subgroup]
-    c_vals = {0} | {c * s % q for s in subgroup}
-    for av in a_vals:
-        for bv in b_vals:
-            need = (-av - bv) % q
-            if need == 0 and av == 0 and bv == 0:
-                continue  # all-zero is not a projective point
-            if need in c_vals:
-                return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# p-adic search
-# ---------------------------------------------------------------------------
-
-
-def _form(coeffs, triple, p, modulus):
-    a, b, c = coeffs
-    x, y, z = triple
-    return (a * pow(x, p, modulus) + b * pow(y, p, modulus) + c * pow(z, p, modulus)) % modulus
-
-
-def _certificate(coeffs, triple, p, ell, level, modulus) -> tuple[int, int] | None:
-    # Hensel: F(P) = 0 mod ell^level lifts along coordinate i as soon as
-    # 2*v(dF/dx_i) < level.  The derivative valuation is exact whenever the
-    # coordinate is nonzero mod ell^level.
-    for i in range(3):
-        w = triple[i] % modulus
-        if w == 0:
-            continue
-        e = valuation(p * coeffs[i], ell) + (p - 1) * valuation(w, ell)
-        if 2 * e < level:
-            return i, e
-    return None
+    if (q - 1) // p > IMAGE_BOUND:
+        raise PreconditionError(f"the {(q - 1) // p} p-th powers in F_{q}* pass IMAGE_BOUND")
+    return _search((a, b, c), p, q, 1).status == "solvable"
 
 
 def check_witness(a: int, b: int, c: int, p: int, ell: int, witness: Witness) -> bool:
     """Independent re-check of a solvability certificate."""
     modulus = ell**witness.level
-    if _form((a, b, c), witness.triple, p, modulus) != 0:
+    x, y, z = witness.triple
+    if (a * pow(x, p, modulus) + b * pow(y, p, modulus) + c * pow(z, p, modulus)) % modulus:
         return False
     w = witness.triple[witness.coordinate] % modulus
     if w == 0:
@@ -152,50 +211,6 @@ def check_witness(a: int, b: int, c: int, p: int, ell: int, witness: Witness) ->
     coeff = (a, b, c)[witness.coordinate]
     e = valuation(p * coeff, ell) + (p - 1) * valuation(w, ell)
     return e == witness.derivative_valuation and 2 * e < witness.level
-
-
-def _chart_search(coeffs, p, ell, chart, max_level):
-    """Search one affine chart (coordinate `chart` set to 1).
-
-    Returns ("solvable", witness), ("unsolvable", None) or ("undecided", None).
-    """
-
-    def make_triple(u, v):
-        t = [0, 0, 0]
-        t[chart] = 1
-        free = [i for i in range(3) if i != chart]
-        t[free[0]], t[free[1]] = u, v
-        return tuple(t)
-
-    survivors = [
-        (u, v)
-        for u in range(ell)
-        for v in range(ell)
-        if _form(coeffs, make_triple(u, v), p, ell) == 0
-    ]
-    modulus = ell
-    for level in range(1, max_level + 1):
-        if not survivors:
-            return "unsolvable", None, level
-        for u, v in survivors:
-            triple = make_triple(u, v)
-            cert = _certificate(coeffs, triple, p, ell, level, modulus)
-            if cert is not None:
-                i, e = cert
-                return "solvable", Witness(triple, level, i, e), level
-        if level == max_level:
-            return "undecided", None, level
-        next_modulus = modulus * ell
-        lifted = []
-        for u, v in survivors:
-            for du in range(ell):
-                for dv in range(ell):
-                    u2, v2 = u + du * modulus, v + dv * modulus
-                    if _form(coeffs, make_triple(u2, v2), p, next_modulus) == 0:
-                        lifted.append((u2, v2))
-        survivors = lifted
-        modulus = next_modulus
-    return "undecided", None, max_level
 
 
 def default_depth_cap(a: int, b: int, c: int, p: int, ell: int) -> int:
@@ -208,28 +223,16 @@ def solvable_over_Ql(
     a: int, b: int, c: int, p: int, ell: int, max_level: int | None = None
 ) -> LocalResult:
     """Decide existence of a nontrivial Q_ell point on a x^p + b y^p + c z^p = 0."""
-    if not is_prime(ell):
+    _check_exponent(p)
+    if ell < 2 or not is_prime(ell):
         raise PreconditionError(f"{ell} is not prime")
     if a == 0 or b == 0 or c == 0:
         raise PreconditionError("coefficients must be nonzero")
     if max_level is None:
         max_level = default_depth_cap(a, b, c, p, ell)
-    coeffs = (a, b, c)
-    undecided = False
-    best_levels = 0
-    for chart in range(3):
-        status, witness, levels = _chart_search(coeffs, p, ell, chart, max_level)
-        best_levels = max(best_levels, levels)
-        if status == "solvable":
-            return LocalResult("solvable", ell, witness, levels)
-        if status == "undecided":
-            undecided = True
-    return LocalResult("undecided" if undecided else "unsolvable", ell, None, best_levels)
-
-
-# ---------------------------------------------------------------------------
-# obstruction search and sweep
-# ---------------------------------------------------------------------------
+    elif max_level < 1:
+        raise PreconditionError(f"max_level must be at least 1, got {max_level}")
+    return _search((a, b, c), p, ell, max_level)
 
 
 def bad_primes(a: int, b: int, c: int, p: int) -> list[int]:
@@ -237,17 +240,15 @@ def bad_primes(a: int, b: int, c: int, p: int) -> list[int]:
     return sorted(factor_small(p * a * b * c).factors)
 
 
-def has_local_obstruction(
-    a: int, b: int, c: int, p: int, k_max: int = 200
-) -> ObstructionSearch:
+def has_local_obstruction(a: int, b: int, c: int, p: int, k_max: int = 200) -> ObstructionSearch:
     """First local obstruction: bad primes first, then q = kp + 1.
 
     When nothing is found, the result is certified provided the search
     covered every prime q = 1 mod p below the Weil cutoff and no bad prime
     came back undecided.
     """
-    if not is_prime(p) or p == 2:
-        raise PreconditionError(f"exponent must be an odd prime, got {p}")
+    _check_exponent(p)
+    _check_k_max(k_max)
     eq = (a, b, c)
     cutoff = weil_cutoff(p)
     undecided = []
@@ -266,7 +267,7 @@ def has_local_obstruction(
 
 def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int | None]:
     """(q, k) for the first q = kp + 1 (k even, k <= k_max) prime to abc that
-    fails the subgroup test, or (None, None).  The scan stops at the Weil
+    has no F_q point, or (None, None).  The scan stops at the Weil
     cutoff, above which no q can fail."""
     cutoff = weil_cutoff(p)
     for k in range(2, k_max + 1, 2):
@@ -289,24 +290,22 @@ def _sweep_one(args) -> SweepEntry:
 
 
 def sweep(
-    a: int,
-    b: int,
-    c: int,
-    p_min: int,
-    p_max: int,
-    k_max: int = 200,
-    jobs: int = 1,
+    a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200, jobs: int = 1
 ) -> list[SweepEntry]:
     """First obstruction prime of the form kp + 1 for each prime p in range.
 
-    Only the subgroup test is used here (this is the fast mode matching the
+    Only the F_q test at q = kp + 1 is used here (the fast mode matching the
     large-exponent claims); per-prime Q_ell analysis is has_local_obstruction's
     job.  Deterministic for fixed k_max, including under parallel execution.
     """
+    _check_k_max(k_max)
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be at least 1, got {jobs}")
     tasks = [(a, b, c, p, k_max) for p in primes_in(p_min, p_max) if p > 2]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [_sweep_one(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # its import costs 2 MB; only jobs > 1 pays it
+    from concurrent.futures import ProcessPoolExecutor  # its import costs 2 MB; only a pool pays it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_one, tasks, chunksize=16))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -93,6 +94,30 @@ class TestLocal:
         assert code == 1
         assert doc["status"] == "undecided"
 
+    def test_image_bound_exit_1_at_once(self, capsys, schema):
+        # the certificate needs level 5, where the image mod 101^5 has ~101^4 elements
+        started = time.perf_counter()
+        code, doc, _ = run_json(
+            capsys, schema, "local", "--eq", "1,202,202", "--p", "101", "--ell", "101"
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 1
+        assert doc["status"] == "undecided"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--p", "0"), ("--p", "-3"), ("--p", "2"), ("--p", "9"),
+            ("--ell", "-3"), ("--ell", "1"), ("--max-level", "0"),
+        ],
+    )
+    def test_bad_input_exit_2(self, capsys, flag, value):
+        args = {"--p": "3", "--ell": "3", flag: value}
+        argv = itertools.chain(*args.items())
+        code, _, err = run_cli(capsys, "local", "--eq", "1,1,1", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestObstruct:
     def test_found(self, capsys, schema):
@@ -121,6 +146,22 @@ class TestObstruct:
         code, _, err = run_cli(capsys, "obstruct", "--eq", "999999937,999999929,1", "--p", "3")
         assert code == 2
         assert "trial-division bound" in err
+
+    @pytest.mark.parametrize("eq, obstruction", [("3,4,5", 607), ("3,8,21", 101)])
+    def test_large_exponent_at_once(self, capsys, schema, eq, obstruction):
+        started = time.perf_counter()
+        code, doc, _ = run_json(capsys, schema, "obstruct", "--eq", eq, "--p", "101")
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert doc["obstruction"] == obstruction
+
+    @pytest.mark.parametrize("flag, value", [("--p", "-3"), ("--p", "9"), ("--kmax", "1")])
+    def test_bad_input_exit_2(self, capsys, flag, value):
+        args = {"--p": "5", flag: value}
+        argv = itertools.chain(*args.items())
+        code, _, err = run_cli(capsys, "obstruct", "--eq", "3,4,5", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_deterministic_modulo_elapsed(self, capsys, schema):
         _, doc1, _ = run_json(capsys, schema, "obstruct", "--eq", "3,4,5", "--p", "5")
@@ -151,6 +192,14 @@ class TestSweep:
             capsys, schema, "sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "60", "--jobs", "2"
         )
         assert strip_elapsed(serial) == strip_elapsed(parallel)
+
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-1"), ("--kmax", "1")])
+    def test_bad_input_exit_2(self, capsys, flag, value):
+        code, _, err = run_cli(
+            capsys, "sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "40", flag, value
+        )
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 class TestDensity:

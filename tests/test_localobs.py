@@ -1,10 +1,14 @@
+import os
+import random
 import time
 
 import pytest
 
 from fermatsym.localobs import (
+    IMAGE_BOUND,
     PreconditionError,
     Witness,
+    _unit_powers,
     bad_primes,
     check_witness,
     default_depth_cap,
@@ -14,7 +18,7 @@ from fermatsym.localobs import (
     sweep,
     weil_cutoff,
 )
-from fermatsym.ntkernel import FactorizationError, is_prime, primes_in
+from fermatsym.ntkernel import FactorizationError, is_prime, primes_in, valuation
 
 
 def projective_points_exist(a, b, c, p, q):
@@ -30,6 +34,139 @@ def projective_points_exist(a, b, c, p, q):
         if (a * pow(x, p, q) + b) % q == 0:
             return True
     return a % q == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference deciders that the image engine replaced: the subgroup closure
+# over F_q with its search over pairs, and the survivor-lifting Hensel
+# search, which enumerates roots digit by digit instead of p-th powers.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceTooSlow(Exception):
+    pass
+
+
+def reference_subgroup(p, q):
+    # the image of x -> x^p on F_q*, built by closing under a few generators
+    k = (q - 1) // p
+    subgroup = {1}
+    for t in range(2, q):
+        if len(subgroup) == k:
+            break
+        g = pow(t, p, q)
+        if g in subgroup:
+            continue
+        power = g
+        extended = set(subgroup)
+        while power not in subgroup:
+            extended.update(x * power % q for x in subgroup)
+            power = power * g % q
+        subgroup = extended
+    return subgroup
+
+
+def reference_mod_q(a, b, c, p, q):
+    subgroup = reference_subgroup(p, q)
+    a_vals = [0] + [a * s % q for s in subgroup]
+    b_vals = [0] + [b * s % q for s in subgroup]
+    c_vals = {0} | {c * s % q for s in subgroup}
+    for av in a_vals:
+        for bv in b_vals:
+            need = (-av - bv) % q
+            if need == 0 and av == 0 and bv == 0:
+                continue  # all-zero is not a projective point
+            if need in c_vals:
+                return True
+    return False
+
+
+def reference_form(coeffs, triple, p, modulus):
+    return sum(k * pow(x, p, modulus) for k, x in zip(coeffs, triple)) % modulus
+
+
+def reference_certified(coeffs, triple, p, ell, level, modulus):
+    # Hensel: F(P) = 0 mod ell^level lifts along coordinate i as soon as
+    # 2*v(dF/dx_i) < level
+    for i in range(3):
+        w = triple[i] % modulus
+        if w and 2 * (valuation(p * coeffs[i], ell) + (p - 1) * valuation(w, ell)) < level:
+            return True
+    return False
+
+
+def reference_chart(coeffs, p, ell, chart, max_level, budget):
+    """(status, level) of one chart: the solutions mod ell^level, lifted one
+    level at a time; ReferenceTooSlow once more than `budget` lifts are tried."""
+
+    def make_triple(u, v):
+        t = [0, 0, 0]
+        t[chart] = 1
+        free = [i for i in range(3) if i != chart]
+        t[free[0]], t[free[1]] = u, v
+        return tuple(t)
+
+    survivors = [
+        (u, v)
+        for u in range(ell)
+        for v in range(ell)
+        if reference_form(coeffs, make_triple(u, v), p, ell) == 0
+    ]
+    modulus = ell
+    for level in range(1, max_level + 1):
+        if not survivors:
+            return "unsolvable", level
+        if any(
+            reference_certified(coeffs, make_triple(u, v), p, ell, level, modulus)
+            for u, v in survivors
+        ):
+            return "solvable", level
+        if level == max_level:
+            return "undecided", level
+        budget -= len(survivors) * ell * ell
+        if budget < 0:
+            raise ReferenceTooSlow
+        next_modulus = modulus * ell
+        survivors = [
+            (u + du * modulus, v + dv * modulus)
+            for u, v in survivors
+            for du in range(ell)
+            for dv in range(ell)
+            if reference_form(
+                coeffs, make_triple(u + du * modulus, v + dv * modulus), p, next_modulus
+            )
+            == 0
+        ]
+        modulus = next_modulus
+    return "undecided", max_level
+
+
+def reference_solvable_over_Ql(a, b, c, p, ell, max_level, budget=5_000):
+    """(status, levels_explored) as solvable_over_Ql reports them."""
+    undecided, best_levels = False, 0
+    for chart in range(3):
+        status, levels = reference_chart((a, b, c), p, ell, chart, max_level, budget)
+        best_levels = max(best_levels, levels)
+        if status == "solvable":
+            return status, levels
+        undecided = undecided or status == "undecided"
+    return ("undecided" if undecided else "unsolvable"), best_levels
+
+
+def seeded_local_cases(seed, count):
+    """(a, b, c, p, ell, max_level) at the bad primes of seeded equations for
+    p in {3, 5, 7}, with coefficients divisible by p and by squares; every
+    fourth case also at a depth cap below the default."""
+    rng = random.Random(seed)
+    pool = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18, 20, 21, 25, 27, 28, 49, 50, 121)
+    cases = []
+    for n in range(count):
+        p = rng.choice((3, 5, 7))
+        eq = [rng.choice(pool + (p, 2 * p, p * p)) * rng.choice((1, -1)) for _ in range(3)]
+        for ell in bad_primes(*eq, p):
+            cap = default_depth_cap(*eq, p, ell)
+            cases.append((*eq, p, ell, rng.randint(1, cap) if n % 4 == 0 else cap))
+    return cases
 
 
 class TestSolvableModQFast:
@@ -50,6 +187,20 @@ class TestSolvableModQFast:
             solvable_mod_q_fast(3, 4, 5, 5, 13)  # 13 != 1 mod 5
         with pytest.raises(PreconditionError):
             solvable_mod_q_fast(3, 4, 11, 5, 11)  # divides abc
+        q = next(q for q in range(3 * IMAGE_BOUND + 2, 10**7) if q % 6 == 1 and is_prime(q))
+        with pytest.raises(PreconditionError):
+            solvable_mod_q_fast(1, 1, 1, 3, q)  # (q - 1)/3 p-th powers pass the bound
+
+    def test_agrees_with_subgroup_closure(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            p = rng.choice((3, 5, 7, 11, 13))
+            a, b, c = (rng.randint(1, 60) * rng.choice((1, -1)) for _ in range(3))
+            for q in primes_in(3, 700):
+                if q % p == 1 and (p * a * b * c) % q:
+                    assert solvable_mod_q_fast(a, b, c, p, q) == reference_mod_q(a, b, c, p, q), (
+                        a, b, c, p, q,
+                    )
 
     def test_oracle_equivalence_up_to_200(self):
         # full projective enumeration vs the subgroup test
@@ -148,16 +299,51 @@ class TestSolvableOverQl:
                     assert res.status == "solvable", (a, b, c, p, ell)
                     assert check_witness(a, b, c, p, ell, res.witness)
 
-    def test_padic_search_agrees_with_subgroup_test_at_good_primes(self):
-        # two independent deciders for Q_q-solvability must agree
+    def test_padic_search_agrees_with_point_enumeration_at_good_primes(self):
+        # at q prime to p*a*b*c, Q_q-solvability is F_q-solvability
         for a, b, c in ((3, 8, 21), (3, 4, 5)):
             for p in (3, 5):
                 for q in primes_in(3, 60):
                     if q % p != 1 or (p * a * b * c) % q == 0:
                         continue
-                    fast = solvable_mod_q_fast(a, b, c, p, q)
+                    points = projective_points_exist(a, b, c, p, q)
                     deep = solvable_over_Ql(a, b, c, p, q)
-                    assert deep.status == ("solvable" if fast else "unsolvable"), (a, b, c, p, q)
+                    assert deep.status == ("solvable" if points else "unsolvable"), (a, b, c, p, q)
+
+    def test_agrees_with_survivor_search(self):
+        compared, kinds = 0, set()
+        for a, b, c, p, ell, cap in seeded_local_cases(11, 300):
+            try:
+                expected = reference_solvable_over_Ql(a, b, c, p, ell, cap)
+            except ReferenceTooSlow:
+                continue
+            res = solvable_over_Ql(a, b, c, p, ell, cap)
+            assert (res.status, res.levels_explored) == expected, (a, b, c, p, ell, cap)
+            if res.status == "solvable":
+                assert check_witness(a, b, c, p, ell, res.witness)
+            compared += 1
+            kinds.add(res.status)
+            if (a * b * c) % p == 0:
+                kinds.add("p | abc")
+            if any(valuation(x, ell) >= 2 for x in (a, b, c)):
+                kinds.add("ell^2 | coefficient")
+        assert compared >= 800
+        assert kinds == {"solvable", "unsolvable", "undecided", "p | abc", "ell^2 | coefficient"}
+
+    def test_valuation_heavy_case_is_fast(self):
+        # (0 : 1 : -1) is a rational point; the survivor search took 27 s here
+        started = time.perf_counter()
+        res = solvable_over_Ql(1, 50, 50, 5, 5)
+        assert time.perf_counter() - started < 1
+        assert res.status == "solvable"
+        assert check_witness(1, 50, 50, 5, 5, res.witness)
+
+    def test_rejects_bad_exponent_place_and_depth(self):
+        bad = [(0, 3, None), (-3, 3, None), (2, 3, None), (9, 3, None), (3, -3, None),
+               (3, 1, None), (3, 3, 0)]
+        for p, ell, max_level in bad:
+            with pytest.raises(PreconditionError):
+                solvable_over_Ql(1, 1, 1, p, ell, max_level)
 
 
 class TestHasLocalObstruction:
@@ -190,8 +376,13 @@ class TestHasLocalObstruction:
         assert res.k == 2
 
     def test_rejects_non_prime_exponent(self):
+        for p in (9, 2, 0, -3):
+            with pytest.raises(PreconditionError):
+                has_local_obstruction(3, 4, 5, p)
+
+    def test_rejects_k_max_below_2(self):
         with pytest.raises(PreconditionError):
-            has_local_obstruction(3, 4, 5, 9)
+            has_local_obstruction(3, 4, 5, 5, k_max=1)
 
     def test_weil_cutoff_values(self):
         assert weil_cutoff(3) == 4
@@ -237,3 +428,47 @@ class TestSweep:
         serial = [(e.p, e.obstruction, e.k) for e in sweep(3, 8, 21, 11, 80)]
         parallel = [(e.p, e.obstruction, e.k) for e in sweep(3, 8, 21, 11, 80, jobs=2)]
         assert serial == parallel
+
+    def test_rejects_bad_k_max_and_jobs(self):
+        for k_max, jobs in ((1, 1), (200, 0), (200, -1)):
+            with pytest.raises(PreconditionError):
+                sweep(3, 4, 5, 11, 40, k_max, jobs)
+
+    def test_jobs_clamped_to_cpus_and_tasks(self, monkeypatch):
+        import concurrent.futures
+
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        serial = [(e.p, e.obstruction, e.k) for e in sweep(3, 4, 5, 11, 40)]
+        pooled = [(e.p, e.obstruction, e.k) for e in sweep(3, 4, 5, 11, 40, jobs=64)]
+        assert pooled == serial
+        sweep(3, 4, 5, 11, 18, jobs=64)  # three primes: 11, 13, 17
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        sweep(3, 4, 5, 11, 40, jobs=64)  # unknown CPU count: serial
+        assert seen == [4, 3]
+
+
+class TestUnitPowers:
+    @pytest.mark.parametrize(
+        "p, ell, m", [(3, 2, 5), (3, 3, 4), (3, 5, 3), (3, 7, 3), (5, 5, 3), (5, 11, 2), (7, 29, 2)]
+    )
+    def test_match_enumeration(self, p, ell, m):
+        modulus = ell**m
+        powers = _unit_powers(p, ell, m)
+        assert set(powers) == {pow(x, p, modulus) for x in range(modulus) if x % ell}
+        assert all(pow(root, p, modulus) == power for power, root in powers.items())
