@@ -29,6 +29,9 @@ from .ntkernel import factor_small, is_prime, primes_in, valuation
 # `obstruct` on the paper equations for p <= 29 needs at most 29 * 28.
 IMAGE_BOUND = 200_000
 
+# The widest window [p_min, p_max), and largest sqrt(p_max), that sweep sieves.
+SWEEP_BOUND = 10**7
+
 
 class PreconditionError(Exception):
     pass
@@ -194,9 +197,14 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
         raise PreconditionError(f"{q} is not 1 mod {p}")
     if (p * a * b * c) % q == 0:
         raise PreconditionError(f"{q} divides p*a*b*c")
+    return _mod_q((a, b, c), p, q)
+
+
+def _mod_q(coeffs, p: int, q: int) -> bool:
+    """solvable_mod_q_fast once q is known to be a prime 1 mod p, prime to p*a*b*c."""
     if (q - 1) // p > IMAGE_BOUND:
         raise PreconditionError(f"the {(q - 1) // p} p-th powers in F_{q}* pass IMAGE_BOUND")
-    return _search((a, b, c), p, q, 1).status == "solvable"
+    return _search(coeffs, p, q, 1).status == "solvable"
 
 
 def check_witness(a: int, b: int, c: int, p: int, ell: int, witness: Witness) -> bool:
@@ -276,7 +284,7 @@ def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int
             continue
         if q > cutoff:
             break
-        if not solvable_mod_q_fast(a, b, c, p, q):
+        if not _mod_q((a, b, c), p, q):
             return q, k
     return None, None
 
@@ -301,6 +309,10 @@ def sweep(
     _check_k_max(k_max)
     if jobs < 1:
         raise PreconditionError(f"jobs must be at least 1, got {jobs}")
+    if p_min > p_max:
+        raise PreconditionError(f"p_min {p_min} is above p_max {p_max}")
+    if p_max - p_min > SWEEP_BOUND or p_max > SWEEP_BOUND**2:
+        raise PreconditionError(f"[{p_min}, {p_max}) is wider than SWEEP_BOUND or ends past its square")
     tasks = [(a, b, c, p, k_max) for p in primes_in(p_min, p_max) if p > 2]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:

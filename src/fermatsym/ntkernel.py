@@ -8,12 +8,21 @@ no probabilistic answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from math import isqrt
 
 TRIAL_DIVISION_BOUND = 10**6
 
-# Deterministic Miller-Rabin witness set; correct for every n below 3.3e24
-# (Sorenson-Webster), far beyond anything this package sweeps over.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin: the first r primes as witnesses decide every n
+# below psi_r, the least strong pseudoprime to all of them (psi_4 to psi_7:
+# Jaeschke 1993; psi_9, psi_12, psi_13: Sorenson-Webster 2015).  is_prime takes
+# the shortest proven prefix and refuses n >= psi_13 rather than guess.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (  # (psi_r, r); psi_8 = psi_7 and psi_10 = psi_11 = psi_9
+    (3_215_031_751, 4), (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 class FactorizationError(Exception):
@@ -58,19 +67,23 @@ def jacobi(n: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n >= 0."""
+    """Deterministic primality test for 0 <= n < psi_13 (about 3.3e24);
+    FactorizationError past it unless a witness prime divides n."""
     if n < 0:
         raise ValueError("is_prime expects a non-negative integer")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    r = next((r for bound, r in _MR_BOUNDS if n < bound), None)
+    if r is None:
+        raise FactorizationError(f"{n} is past the proven Miller-Rabin bound {_MR_BOUNDS[-1][0]}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:r]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -85,19 +98,19 @@ def is_prime(n: int) -> bool:
 
 def prime_sieve(limit: int) -> list[int]:
     """All primes below ``limit`` by Eratosthenes."""
-    if limit <= 2:
-        return []
-    flags = bytearray([1]) * limit
-    flags[0] = flags[1] = 0
-    for i in range(2, limit):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if flags[i]]
+    return primes_in(2, limit)
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p < hi."""
-    return [p for p in range(max(lo, 2), hi) if is_prime(p)]
+    """Primes p with lo <= p < hi: a sieve of hi - lo bytes by the primes up to sqrt(hi)."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return []
+    flags = bytearray([1]) * (hi - lo)
+    for r in prime_sieve(isqrt(hi - 1) + 1):
+        start = max(r * r, -(-lo // r) * r) - lo
+        flags[start::r] = bytearray(len(range(start, hi - lo, r)))
+    return list(compress(range(lo, hi), flags))
 
 
 def factor_small(n: int, bound: int = TRIAL_DIVISION_BOUND) -> FactoredInt:

@@ -118,6 +118,19 @@ class TestLocal:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "ell, message",
+        [
+            # psi_12 = 399165290221 * 798330580441 passes the first 12 witnesses
+            ("318665857834031151167461", "is not prime"),
+            ("3317044064679887385961981", "proven Miller-Rabin bound"),  # psi_13
+        ],
+    )
+    def test_strong_pseudoprime_ell_exit_2(self, capsys, ell, message):
+        code, _, err = run_cli(capsys, "local", "--eq", "1,1,1", "--p", "3", "--ell", ell)
+        assert code == 2
+        assert message in err
+
 
 class TestObstruct:
     def test_found(self, capsys, schema):
@@ -193,13 +206,26 @@ class TestSweep:
         )
         assert strip_elapsed(serial) == strip_elapsed(parallel)
 
-    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-1"), ("--kmax", "1")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--jobs", "0"), ("--jobs", "-1"), ("--kmax", "1"), ("--pmin", "41"), ("--pmax", "10")],
+    )
     def test_bad_input_exit_2(self, capsys, flag, value):
         code, _, err = run_cli(
             capsys, "sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "40", flag, value
         )
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "pmin, pmax", [("11", str(10**12)), (str(10**20), str(10**20 + 10))]
+    )
+    def test_window_past_the_bound_exit_2_at_once(self, capsys, pmin, pmax):
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "sweep", "--eq", "3,4,5", "--pmin", pmin, "--pmax", pmax)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert "SWEEP_BOUND" in err
 
 
 class TestDensity:

@@ -6,8 +6,10 @@ import pytest
 
 from fermatsym.localobs import (
     IMAGE_BOUND,
+    SWEEP_BOUND,
     PreconditionError,
     Witness,
+    _scan_q,
     _unit_powers,
     bad_primes,
     check_witness,
@@ -400,6 +402,36 @@ class TestHasLocalObstruction:
         assert time.perf_counter() - started < 5
 
 
+def reference_scan_q(a, b, c, p, k_max):
+    # the q-scan before it called the engine directly: every q goes through
+    # solvable_mod_q_fast, which tests primality and its preconditions again
+    cutoff = weil_cutoff(p)
+    for k in range(2, k_max + 1, 2):
+        q = k * p + 1
+        if not is_prime(q) or (a * b * c) % q == 0:
+            continue
+        if q > cutoff:
+            break
+        if not solvable_mod_q_fast(a, b, c, p, q):
+            return q, k
+    return None, None
+
+
+class TestScanQ:
+    def test_agrees_with_reference_scan(self):
+        rng = random.Random(5)
+        triples = [(3, 8, 21), (3, 4, 5)]
+        triples += [tuple(rng.randint(1, 99) * rng.choice((1, -1)) for _ in range(3)) for _ in range(3)]
+        for eq in triples:
+            for p in primes_in(3, 3000):
+                assert _scan_q(*eq, p, 200) == reference_scan_q(*eq, p, 200), (eq, p)
+
+    def test_agrees_with_reference_scan_without_obstructions(self):
+        # (1 : -1 : 0) is a point mod every q, so each scan runs to k_max or the cutoff
+        for p in primes_in(3, 600):
+            assert _scan_q(1, 1, 1, p, 200) == reference_scan_q(1, 1, 1, p, 200) == (None, None)
+
+
 class TestSweep:
     def test_desk_scale_eq2(self):
         entries = sweep(3, 4, 5, 11, 100)
@@ -433,6 +465,18 @@ class TestSweep:
         for k_max, jobs in ((1, 1), (200, 0), (200, -1)):
             with pytest.raises(PreconditionError):
                 sweep(3, 4, 5, 11, 40, k_max, jobs)
+
+    def test_rejects_reversed_window(self):
+        with pytest.raises(PreconditionError):
+            sweep(3, 4, 5, 41, 40)
+
+    def test_refuses_windows_past_the_bound_at_once(self):
+        # never allocated: a sieve of 10^12 bytes, or base primes up to 10^15
+        started = time.perf_counter()
+        for lo, hi in ((11, 10**12), (0, SWEEP_BOUND + 1), (10**30, 10**30 + 10)):
+            with pytest.raises(PreconditionError):
+                sweep(3, 4, 5, lo, hi)
+        assert time.perf_counter() - started < 1
 
     def test_jobs_clamped_to_cpus_and_tasks(self, monkeypatch):
         import concurrent.futures

@@ -1,6 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatsym.ntkernel import (
+    _MR_BOUNDS,
     FactorizationError,
     factor_small,
     is_prime,
@@ -15,6 +20,75 @@ from fermatsym.ntkernel import (
 def squares_mod(m):
     """Brute-force oracle: nonzero quadratic residues mod m."""
     return {x * x % m for x in range(1, m)} - {0}
+
+
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_r, the least strong pseudoprime to the first r prime bases, for every r
+# up to 13 (psi_8 = psi_7, psi_10 = psi_11 = psi_9)
+PSI = {
+    1: 2047,
+    2: 1_373_653,
+    3: 25_326_001,
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    7: 341_550_071_728_321,
+    9: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,
+    13: 3_317_044_064_679_887_385_961_981,
+}
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def reference_is_prime(n):
+    """Miller-Rabin with every one of the first 13 prime bases: proven below psi_13."""
+    if n < 2:
+        return False
+    for p in FIRST_13_PRIMES:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in FIRST_13_PRIMES)
+
+
+def band_samples(seed):
+    """Random odd n, primes and semiprimes in each band [psi_(r-1), psi_r) that
+    is_prime treats with its own witness count, and at the ends of the bands."""
+    rng = random.Random(seed)
+    ends = [2] + [bound for bound, _ in _MR_BOUNDS]
+    samples = []
+    for lo, hi in zip(ends, ends[1:]):
+        samples += [lo - 1, lo, lo + 1, hi - 2, hi - 1]
+        for _ in range(40):
+            n = rng.randrange(lo, hi) | 1
+            samples.append(n)
+            while not reference_is_prime(n):
+                n += 2
+            if n < hi:
+                samples.append(n)
+        half = hi.bit_length() // 2
+        for _ in range(10):
+            primes = []
+            while len(primes) < 2:
+                n = rng.getrandbits(half) | 1
+                if reference_is_prime(n):
+                    primes.append(n)
+            if lo <= primes[0] * primes[1] < hi:
+                samples.append(primes[0] * primes[1])
+    return samples
 
 
 class TestJacobi:
@@ -84,6 +158,53 @@ class TestIsPrime:
     def test_prime_sieve_consistency(self):
         assert prime_sieve(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_in(10, 30) == [11, 13, 17, 19, 23, 29]
+
+    def test_agrees_with_all_13_witnesses_in_every_band(self):
+        for n in band_samples(seed=1):
+            assert is_prime(n) == reference_is_prime(n), n
+
+    def test_agrees_with_sympy_in_every_band(self):
+        sympy = pytest.importorskip("sympy")
+        for n in band_samples(seed=2):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_every_psi_is_composite(self):
+        for r, psi in PSI.items():
+            assert all(strong_probable_prime(psi, a) for a in FIRST_13_PRIMES[:r]), r
+            if r < 13:
+                assert not is_prime(psi), r
+        assert 399165290221 * 798330580441 == PSI[12]
+        assert [(r, psi) for psi, r in _MR_BOUNDS] == [(r, PSI[r]) for r in (4, 5, 6, 7, 9, 12, 13)]
+
+    def test_refuses_past_psi_13_unless_a_witness_divides(self):
+        for n in [*range(PSI[13], PSI[13] + 100), 10**40 + 1]:
+            if any(n % a == 0 for a in FIRST_13_PRIMES):
+                assert not is_prime(n), n
+            else:
+                with pytest.raises(FactorizationError):
+                    is_prime(n)
+
+
+def reference_primes_in(lo, hi):
+    return [n for n in range(max(lo, 0), hi) if is_prime(n)]
+
+
+class TestPrimesIn:
+    def test_edge_windows(self):
+        edges = {-3, 0, 1, 2, 3, 4}
+        edges |= {r * r + d for r in (2, 3, 5, 7, 11, 13, 31) for d in (-1, 0, 1)}
+        for lo in edges:
+            for hi in edges:
+                assert primes_in(lo, hi) == reference_primes_in(lo, hi), (lo, hi)
+
+    def test_prime_sieve_is_primes_from_2(self):
+        for limit in range(-2, 200):
+            assert prime_sieve(limit) == reference_primes_in(2, limit), limit
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10, 10**6), st.integers(-10, 5000))
+    def test_random_windows_below_10e6(self, lo, width):
+        assert primes_in(lo, lo + width) == reference_primes_in(lo, lo + width)
 
 
 class TestFactorSmall:
