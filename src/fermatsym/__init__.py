@@ -7,20 +7,20 @@ The library reproduces two kinds of results about a x^p + b y^p + c z^p = 0:
   Frey-curve discriminant data with candidate curves at the lowered level
   through symplectic criteria (``freypipe``);
 * local obstructions: primes ell at which the equation has no Q_ell points,
-  found by one search over images of x -> x^p with Hensel certificates
-  (``localobs``).
+  decided by membership tests in the p-th powers of F_ell* at good primes
+  and by a search over images of x -> x^p with Hensel certificates at bad
+  primes (``localobs``).
 
 See the README for the CLI and file formats.
 """
 
-from .curvedb import CurveDatabase, CurveRecord, candidates_for_level, get, verify
+from .curvedb import CurveDatabase, CurveRecord, verify
 from .ecmodel import (
     Invariants,
     ReductionKind,
     ReductionType,
     WeierstrassModel,
     invariants,
-    inverse_transform,
     minimal_model,
     reduction_type,
     transform,
@@ -73,15 +73,12 @@ __all__ = [
     "SymplecticType",
     "Verdict",
     "WeierstrassModel",
-    "candidates_for_level",
     "criterion_at_two",
     "criterion_multiplicative",
     "density",
     "factor_small",
-    "get",
     "has_local_obstruction",
     "invariants",
-    "inverse_transform",
     "is_prime",
     "jacobi",
     "minimal_model",

@@ -149,14 +149,6 @@ class CurveDatabase:
         return sorted(self._records)
 
 
-def get(label: str, db: CurveDatabase | None = None) -> CurveRecord:
-    return (db or CurveDatabase()).get(label)
-
-
-def candidates_for_level(level: int, db: CurveDatabase | None = None) -> list[CurveRecord]:
-    return (db or CurveDatabase()).candidates_for_level(level)
-
-
 def verify(record: CurveRecord) -> VerificationReport:
     """Recompute discriminant data from the model and diff against the record."""
     if record.model is None:

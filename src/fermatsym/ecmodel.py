@@ -1,9 +1,10 @@
 """Weierstrass models over Z: invariants, coordinate changes, minimal models.
 
 This module is the oracle layer: curve-database entries and valuation
-profiles are validated against it.  Minimality at 2 and 3 is established by
-a bounded exhaustive search over coordinate changes rather than Tate's
-algorithm; correctness is easy to argue and the inputs are tiny.
+profiles are validated against it.  For a scale factor prime to 6, three
+linear congruences fix the coordinate change; minimality at 2 and 3 is
+established by a bounded exhaustive search over coordinate changes rather
+than Tate's algorithm; correctness is easy to argue and the inputs are tiny.
 """
 
 from __future__ import annotations
@@ -113,32 +114,24 @@ def transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> Weiers
     return WeierstrassModel(*coeffs)
 
 
-def inverse_transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> WeierstrassModel:
-    """Undo ``transform`` with the same parameters (multiplies delta by u^12).
-
-    Always integral for integral inputs, so this is how test fixtures build
-    non-minimal models.
-    """
-    if u == 0:
-        raise ValueError("inverse_transform requires u != 0")
-    a1p, a2p, a3p, a4p, a6p = model.coefficients()
-    a1 = u * a1p - 2 * s
-    a2 = u * u * a2p + s * a1 - 3 * r + s * s
-    a3 = u**3 * a3p - r * a1 - 2 * t
-    a4 = u**4 * a4p + s * a3 - 2 * r * a2 + (t + r * s) * a1 - 3 * r * r + 2 * s * t
-    a6 = u**6 * a6p - r * a4 - r * r * a2 - r**3 + t * a3 + t * t + r * t * a1
-    return WeierstrassModel(a1, a2, a3, a4, a6)
-
-
 def _reduction_step(model: WeierstrassModel, u: int) -> WeierstrassModel | None:
     """An integral model with delta/u^12, if one exists.
 
-    Searches r mod u^2, s mod u, t mod u^3; modulo post-composition with
-    integral unimodular changes this covers every candidate change of
-    coordinates with scale factor u.
+    Takes s mod u, r mod u^2, t mod u^3 that make a1', a2', a3' integral;
+    modulo post-composition with integral unimodular changes this covers
+    every candidate change of coordinates with scale factor u.
     """
     a1, a2, a3 = model.a1, model.a2, model.a3
     u2, u3 = u * u, u**3
+    if u % 2 and u % 3:
+        # 2 and 3 are units mod u: each of s, r, t solves one linear congruence
+        s = -a1 * pow(2, -1, u) % u
+        r = (s * s + s * a1 - a2) * pow(3, -1, u2) % u2
+        t = -(a3 + r * a1) * pow(2, -1, u3) % u3
+        try:
+            return transform(model, u, r, s, t)
+        except NonIntegralTransformError:
+            return None
     for s in range(u):
         if (a1 + 2 * s) % u != 0:
             continue

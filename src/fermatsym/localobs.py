@@ -1,13 +1,16 @@
 """Local solvability of a x^p + b y^p + c z^p = 0 over Q_ell.
 
-One engine searches the images of x -> x^p mod ell^k, level by level, for
-a solution that lifts by Hensel's lemma.  Where the prime sits:
+Where the prime sits:
 
-* q = kp + 1 prime to p*a*b*c: the p-th powers in F_q* are a subgroup of
-  size k and every F_q point lifts to Q_q (smoothness), so level 1 decides.
-* bad primes ell | p*a*b*c: up to a depth cap; "undecided" is a
-  first-class outcome when the cap or IMAGE_BOUND is hit, never a silent
-  wrong answer.
+* good primes ell prime to p*a*b*c, among them every q = kp + 1 of the
+  scan: every F_ell point lifts to Q_ell (smoothness), so level 1 decides.
+  The p-th powers in F_ell* are mu_k, so membership is one pow test: three
+  find the points with a zero coordinate, and one per step of a walk over
+  mu_k the others (chart x = 1), stopping at the first point.
+* bad primes ell | p*a*b*c: one engine searches the images of x -> x^p
+  mod ell^k, level by level, for a solution that lifts by Hensel's lemma,
+  up to a depth cap; "undecided" is a first-class outcome when the cap or
+  IMAGE_BOUND is hit, never a silent wrong answer.
 * large good primes: a smooth plane curve of genus (p-1)(p-2)/2 over F_q
   has points once q + 1 > (p-1)(p-2)*sqrt(q), so primes above the cutoff
   ((p-1)(p-2))^2 can never obstruct, which turns "no obstruction" into a
@@ -31,6 +34,9 @@ IMAGE_BOUND = 200_000
 
 # The widest window [p_min, p_max), and largest sqrt(p_max), that sweep sieves.
 SWEEP_BOUND = 10**7
+
+# The largest k_max, the last k of the scan over q = kp + 1.
+KMAX_BOUND = 10**5
 
 
 class PreconditionError(Exception):
@@ -88,8 +94,8 @@ def _check_exponent(p: int) -> None:
 
 
 def _check_k_max(k_max: int) -> None:
-    if k_max < 2:
-        raise PreconditionError(f"k_max must be at least 2, got {k_max}")
+    if not 2 <= k_max <= KMAX_BOUND:
+        raise PreconditionError(f"k_max must be between 2 and KMAX_BOUND = {KMAX_BOUND}, got {k_max}")
 
 
 def _unit_power_count(p: int, ell: int, m: int) -> int:
@@ -178,9 +184,7 @@ def _search(coeffs, p: int, ell: int, max_level: int) -> LocalResult:
             found = _chart_level(coeffs, p, ell, chart, levels, image)
         best_levels = max(best_levels, levels)
         if isinstance(found, Witness):
-            if not check_witness(*coeffs, p, ell, found):
-                raise RuntimeError(f"witness {found} fails check_witness")
-            return LocalResult("solvable", ell, found, levels)
+            return LocalResult("solvable", ell, _checked(coeffs, p, ell, found), levels)
         undecided = undecided or found is True
     return LocalResult("undecided" if undecided else "unsolvable", ell, None, best_levels)
 
@@ -197,14 +201,54 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
         raise PreconditionError(f"{q} is not 1 mod {p}")
     if (p * a * b * c) % q == 0:
         raise PreconditionError(f"{q} divides p*a*b*c")
-    return _mod_q((a, b, c), p, q)
-
-
-def _mod_q(coeffs, p: int, q: int) -> bool:
-    """solvable_mod_q_fast once q is known to be a prime 1 mod p, prime to p*a*b*c."""
     if (q - 1) // p > IMAGE_BOUND:
         raise PreconditionError(f"the {(q - 1) // p} p-th powers in F_{q}* pass IMAGE_BOUND")
-    return _search(coeffs, p, q, 1).status == "solvable"
+    return _level_one((a, b, c), p, q) is not None
+
+
+def _walk(p: int, q: int, k: int):
+    """(t^(i p), t^i) for i = 0 .. k - 1, where t^p generates mu_k: each p-th
+    power in F_q* once, next to one of its roots."""
+    primes = factor_small(k).factors
+    t = 2
+    while any(pow(t, p * k // r, q) == 1 for r in primes):  # t^p has order below k
+        t += 1
+    w, s, y = pow(t, p, q), 1, 1
+    for _ in range(k):
+        yield s, y
+        s, y = s * w % q, y * t % q
+
+
+def _level_one(coeffs, p: int, q: int) -> Witness | None:
+    """A checked level-1 witness at a prime q prime to p*a*b*c, or None when
+    there is no F_q point."""
+    k = (q - 1) // gcd(p, q - 1)
+
+    def root(u):  # x with x^p = u, for u in mu_k
+        if k % p:
+            return pow(u, pow(p, -1, k), q)
+        return next(y for s, y in _walk(p, q, k) if s == u)
+
+    # points with a zero coordinate: x_i^p = -c_j/c_i at x_j = 1, which is in
+    # mu_k iff c_i^k = c_j^k, since -1 = (-1)^p is
+    powers = [pow(n, k, q) for n in coeffs]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if powers[i] == powers[j]:
+            triple = [0, 0, 0]
+            triple[i], triple[j] = root(-coeffs[j] * pow(coeffs[i], -1, q) % q), 1
+            return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
+    a, b, c = coeffs
+    for s, y in _walk(p, q, k):
+        if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
+            z = root(-(a + b * s) * pow(c, -1, q) % q)
+            return _checked(coeffs, p, q, Witness((1, y, z), 1, 0, 0))
+    return None
+
+
+def _checked(coeffs, p: int, ell: int, witness: Witness) -> Witness:
+    if not check_witness(*coeffs, p, ell, witness):
+        raise RuntimeError(f"witness {witness} fails check_witness")
+    return witness
 
 
 def check_witness(a: int, b: int, c: int, p: int, ell: int, witness: Witness) -> bool:
@@ -240,6 +284,9 @@ def solvable_over_Ql(
         max_level = default_depth_cap(a, b, c, p, ell)
     elif max_level < 1:
         raise PreconditionError(f"max_level must be at least 1, got {max_level}")
+    if (p * a * b * c) % ell:
+        witness = _level_one((a, b, c), p, ell)
+        return LocalResult("solvable" if witness else "unsolvable", ell, witness, 1)
     return _search((a, b, c), p, ell, max_level)
 
 
@@ -284,7 +331,7 @@ def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int
             continue
         if q > cutoff:
             break
-        if not _mod_q((a, b, c), p, q):
+        if _level_one((a, b, c), p, q) is None:
             return q, k
     return None, None
 

@@ -12,7 +12,6 @@ from fermatsym.ecmodel import (
     DegenerateModelError,
     WeierstrassModel,
     invariants,
-    inverse_transform,
     minimal_model,
 )
 from fermatsym.freypipe import run_case, run_equation, scenarios
@@ -26,6 +25,7 @@ from fermatsym.ntkernel import is_prime, jacobi, primes_in
 from fermatsym.qrsolver import CongruenceClassSet, decompose, parse
 from fermatsym.symplectic import QRConstraint, SymplecticType
 
+from test_ecmodel import inverse_transform
 from test_localobs import projective_points_exist
 
 

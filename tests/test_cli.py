@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from fermatsym import cli
+from fermatsym.localobs import KMAX_BOUND, Witness, check_witness
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,18 @@ class TestLocal:
         assert code == 1
         assert doc["status"] == "undecided"
 
+    def test_good_prime_past_the_image_bound_at_once(self, capsys, schema):
+        # 600011 = 2 mod 3, so x -> x^3 permutes F_600011* and points exist
+        started = time.perf_counter()
+        code, doc, _ = run_json(capsys, schema, "local", "--eq", "1,1,2", "--p", "3", "--ell", "600011")
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert doc["status"] == "solvable"
+        w = doc["witness"]
+        witness = Witness(tuple(w["triple"]), w["level"], w["coordinate"], w["derivative_valuation"])
+        assert witness.level == 1
+        assert check_witness(1, 1, 2, 3, 600011, witness)
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -168,6 +181,24 @@ class TestObstruct:
         assert code == 0
         assert doc["obstruction"] == obstruction
 
+    def test_large_k_max_at_once(self, capsys, schema):
+        # (1 : -1 : 0) is a point mod every q, so the scan runs to k_max = 20000
+        started = time.perf_counter()
+        code, doc, _ = run_json(capsys, schema, "obstruct", "--eq", "1,1,1", "--p", "101", "--kmax", "20000")
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert strip_elapsed(doc) == {
+            "command": "obstruct", "equation": [1, 1, 1], "p": 101, "obstruction": None,
+            "method": None, "k": None, "certified": False, "cutoff": 98010000, "undecided": [],
+        }
+
+    def test_k_max_past_the_bound_exit_2_at_once(self, capsys):
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "obstruct", "--eq", "1,1,1", "--p", "10007", "--kmax", "100000000")
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert "KMAX_BOUND" in err
+
     @pytest.mark.parametrize("flag, value", [("--p", "-3"), ("--p", "9"), ("--kmax", "1")])
     def test_bad_input_exit_2(self, capsys, flag, value):
         args = {"--p": "5", flag: value}
@@ -208,7 +239,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--jobs", "0"), ("--jobs", "-1"), ("--kmax", "1"), ("--pmin", "41"), ("--pmax", "10")],
+        [
+            ("--jobs", "0"), ("--jobs", "-1"), ("--kmax", "1"), ("--kmax", str(KMAX_BOUND + 1)),
+            ("--pmin", "41"), ("--pmax", "10"),
+        ],
     )
     def test_bad_input_exit_2(self, capsys, flag, value):
         code, _, err = run_cli(

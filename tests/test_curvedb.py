@@ -7,8 +7,6 @@ from fermatsym.curvedb import (
     OverrideFormatError,
     UnknownLabelError,
     UnknownLevelError,
-    candidates_for_level,
-    get,
     load_overrides,
     parse_override_line,
     verify,
@@ -18,50 +16,50 @@ from fermatsym.ecmodel import ReductionKind
 
 class TestGet:
     def test_168a1(self):
-        rec = get("168a1")
+        rec = CurveDatabase().get("168a1")
         assert rec.disc_sign == 1
         assert rec.disc_valuations == {2: 4, 3: 1, 7: 1}
         assert rec.inertia_sl2f3_at_2
 
     def test_120a1(self):
-        rec = get("120a1")
+        rec = CurveDatabase().get("120a1")
         assert rec.disc_sign == 1
         assert rec.disc_valuations == {2: 4, 3: 2, 5: 1}
         assert rec.inertia_sl2f3_at_2
 
     def test_120b1(self):
-        rec = get("120b1")
+        rec = CurveDatabase().get("120b1")
         assert rec.disc_sign == -1
         assert rec.disc_valuations == {2: 8, 3: 1, 5: 1}
 
     def test_30a1_has_v5_equal_1(self):
         # v5 = 1, recomputed from the minimal model (not 5^2)
-        rec = get("30a1")
+        rec = CurveDatabase().get("30a1")
         assert rec.disc_sign == -1
         assert rec.disc_valuations == {2: 4, 3: 3, 5: 1}
         for ell in (2, 3, 5):
             assert rec.reduction_at[ell].kind is ReductionKind.MULTIPLICATIVE
 
     def test_42a1_multiplicative_at_2(self):
-        rec = get("42a1")
+        rec = CurveDatabase().get("42a1")
         assert rec.reduction_at[2].kind is ReductionKind.MULTIPLICATIVE
         assert rec.disc_valuations == {2: 8, 3: 2, 7: 1}
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
-            get("nosuch")
+            CurveDatabase().get("nosuch")
 
 
 class TestCandidatesForLevel:
     def test_embedded_levels(self):
-        assert [r.label for r in candidates_for_level(42)] == ["42a1"]
-        assert [r.label for r in candidates_for_level(168)] == ["168a1", "168b1"]
-        assert [r.label for r in candidates_for_level(30)] == ["30a1"]
-        assert [r.label for r in candidates_for_level(120)] == ["120a1", "120b1"]
+        assert [r.label for r in CurveDatabase().candidates_for_level(42)] == ["42a1"]
+        assert [r.label for r in CurveDatabase().candidates_for_level(168)] == ["168a1", "168b1"]
+        assert [r.label for r in CurveDatabase().candidates_for_level(30)] == ["30a1"]
+        assert [r.label for r in CurveDatabase().candidates_for_level(120)] == ["120a1", "120b1"]
 
     def test_unknown_level(self):
         with pytest.raises(UnknownLevelError):
-            candidates_for_level(31)
+            CurveDatabase().candidates_for_level(31)
 
 
 class TestVerify:
@@ -72,27 +70,27 @@ class TestVerify:
             assert report.ok, (label, report.mismatches)
 
     def test_corrupted_valuation_detected(self):
-        rec = get("168a1")
+        rec = CurveDatabase().get("168a1")
         bad = replace(rec, disc_valuations={**rec.disc_valuations, 7: 2})
         report = verify(bad)
         assert report.status == "mismatch"
         assert any("7" in m for m in report.mismatches)
 
     def test_corrupted_sign_detected(self):
-        rec = get("168a1")
+        rec = CurveDatabase().get("168a1")
         report = verify(replace(rec, disc_sign=-1))
         assert report.status == "mismatch"
         assert any("sign" in m for m in report.mismatches)
 
     def test_record_without_model_unverifiable(self):
-        rec = replace(get("168a1"), model=None)
+        rec = replace(CurveDatabase().get("168a1"), model=None)
         report = verify(rec)
         assert report.status == "unverifiable"
         assert not report.ok
 
     def test_sl2f3_records_are_additive_potentially_good_at_2(self):
         for label in ("168a1", "168b1", "120a1", "120b1"):
-            rec = get(label)
+            rec = CurveDatabase().get(label)
             assert rec.inertia_sl2f3_at_2
             red = rec.reduction_at[2]
             assert red.kind is ReductionKind.ADDITIVE

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,13 +8,50 @@ from fermatsym.ecmodel import (
     NonIntegralTransformError,
     ReductionKind,
     WeierstrassModel,
+    _reduction_step,
     invariants,
-    inverse_transform,
     minimal_model,
     reduction_type,
     transform,
 )
 from fermatsym.ntkernel import valuation
+
+
+def inverse_transform(model, u, r, s, t):
+    """Undo ``transform`` with the same parameters (multiplies delta by u^12).
+
+    Always integral for integral inputs, so this is how the tests build
+    non-minimal models.
+    """
+    if u == 0:
+        raise ValueError("inverse_transform requires u != 0")
+    a1p, a2p, a3p, a4p, a6p = model.coefficients()
+    a1 = u * a1p - 2 * s
+    a2 = u * u * a2p + s * a1 - 3 * r + s * s
+    a3 = u**3 * a3p - r * a1 - 2 * t
+    a4 = u**4 * a4p + s * a3 - 2 * r * a2 + (t + r * s) * a1 - 3 * r * r + 2 * s * t
+    a6 = u**6 * a6p - r * a4 - r * r * a2 - r**3 + t * a3 + t * t + r * t * a1
+    return WeierstrassModel(a1, a2, a3, a4, a6)
+
+
+def reference_reduction_step(model, u):
+    # the exhaustive search over s mod u, r mod u^2, t mod u^3 that
+    # _reduction_step keeps only for u a power of 2 or 3
+    a1, a2, a3 = model.a1, model.a2, model.a3
+    for s in range(u):
+        if (a1 + 2 * s) % u != 0:
+            continue
+        for r in range(u * u):
+            if (a2 - s * a1 + 3 * r - s * s) % (u * u) != 0:
+                continue
+            for t in range(u**3):
+                if (a3 + r * a1 + 2 * t) % u**3 != 0:
+                    continue
+                try:
+                    return transform(model, u, r, s, t)
+                except NonIntegralTransformError:
+                    continue
+    return None
 
 
 def random_models(count, seed=20240817, span=20):
@@ -125,6 +163,31 @@ class TestMinimalModel:
             moved = inverse_transform(m, u, r, s, t)
             _, vals2 = minimal_model(moved)
             assert vals2 == vals
+
+    @pytest.mark.parametrize("ell", [5, 7, 11, 13])
+    def test_reduction_step_agrees_with_exhaustive_search(self, ell):
+        # scaled models reduce, unscaled ones mostly do not; both must agree
+        rng = random.Random(ell)
+        reduced = 0
+        for m in random_models(12, seed=200 + ell, span=6):
+            r, s, t = (rng.randint(-50, 50) for _ in range(3))
+            for model in (m, inverse_transform(m, ell, r, s, t), inverse_transform(m, -ell, r, s, t)):
+                expected = reference_reduction_step(model, ell)
+                assert _reduction_step(model, ell) == expected, (model, ell)
+                reduced += expected is not None
+        assert reduced >= 24
+
+    def test_large_prime_minimal_model_is_fast(self):
+        # y^2 = x (x - 401^6)(x + 1): v_401(delta) = 12, yet already minimal at 401;
+        # the exhaustive search over s, r, t mod 401^k took 9.6 s here
+        n = 401**6
+        started = time.perf_counter()
+        mm, vals = minimal_model(WeierstrassModel(0, 1 - n, 0, -n, 0))
+        assert time.perf_counter() - started < 1
+        assert mm == WeierstrassModel(
+            0, 0, 0, -5762503692994869928197124322401, -5324329676593617025239156297507389786626720800
+        )
+        assert vals == {2: 6, 13: 2, 37: 2, 41: 2, 53: 2, 401: 12, 30637: 2, 64921: 2}
 
     @pytest.mark.parametrize("ell", [2, 3, 5, 7])
     def test_minimization_undoes_prime_scaling(self, ell):

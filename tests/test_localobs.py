@@ -6,10 +6,13 @@ import pytest
 
 from fermatsym.localobs import (
     IMAGE_BOUND,
+    KMAX_BOUND,
     SWEEP_BOUND,
     PreconditionError,
     Witness,
+    _level_one,
     _scan_q,
+    _search,
     _unit_powers,
     bad_primes,
     check_witness,
@@ -204,6 +207,28 @@ class TestSolvableModQFast:
                         a, b, c, p, q,
                     )
 
+    def test_level_one_witnesses_agree_with_references(self):
+        # q = 1 mod p^2 puts p | k, where roots come from the walk instead of
+        # an inverse of p mod k; brute force confirms those q as well
+        rng = random.Random(6)
+        kinds = set()
+        for _ in range(40):
+            p = rng.choice((3, 5, 7, 13))
+            a, b, c = (rng.randint(1, 60) * rng.choice((1, -1)) for _ in range(3))
+            for q in primes_in(3, 700):
+                if q % p != 1 or (p * a * b * c) % q == 0:
+                    continue
+                witness = _level_one((a, b, c), p, q)
+                assert (witness is not None) == reference_mod_q(a, b, c, p, q), (a, b, c, p, q)
+                if witness is not None:
+                    assert witness.level == 1
+                    assert check_witness(a, b, c, p, q, witness), (a, b, c, p, q, witness)
+                if q % (p * p) == 1:
+                    assert (witness is not None) == projective_points_exist(a, b, c, p, q)
+                    if witness is not None:
+                        kinds.add("zero coordinate" if 0 in witness.triple else "chart")
+        assert kinds == {"zero coordinate", "chart"}
+
     def test_oracle_equivalence_up_to_200(self):
         # full projective enumeration vs the subgroup test
         mismatches = []
@@ -312,6 +337,16 @@ class TestSolvableOverQl:
                     deep = solvable_over_Ql(a, b, c, p, q)
                     assert deep.status == ("solvable" if points else "unsolvable"), (a, b, c, p, q)
 
+    def test_good_primes_not_one_mod_p_are_solvable_at_level_one(self):
+        # x -> x^p permutes F_ell*, so a point with a zero coordinate exists;
+        # 600011 is far past what the image engine could hold
+        for a, b, c, p, ell in ((3, 4, 5, 3, 11), (3, 8, 21, 5, 13), (1, 1, 2, 3, 600011), (3, 5, 7, 7, 2)):
+            started = time.perf_counter()
+            res = solvable_over_Ql(a, b, c, p, ell)
+            assert time.perf_counter() - started < 1
+            assert (res.status, res.levels_explored) == ("solvable", 1)
+            assert check_witness(a, b, c, p, ell, res.witness)
+
     def test_agrees_with_survivor_search(self):
         compared, kinds = 0, set()
         for a, b, c, p, ell, cap in seeded_local_cases(11, 300):
@@ -386,6 +421,12 @@ class TestHasLocalObstruction:
         with pytest.raises(PreconditionError):
             has_local_obstruction(3, 4, 5, 5, k_max=1)
 
+    def test_refuses_k_max_past_the_bound_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(PreconditionError):
+            has_local_obstruction(1, 1, 1, 10007, k_max=KMAX_BOUND + 1)
+        assert time.perf_counter() - started < 1
+
     def test_weil_cutoff_values(self):
         assert weil_cutoff(3) == 4
         assert weil_cutoff(5) == 144
@@ -403,8 +444,7 @@ class TestHasLocalObstruction:
 
 
 def reference_scan_q(a, b, c, p, k_max):
-    # the q-scan before it called the engine directly: every q goes through
-    # solvable_mod_q_fast, which tests primality and its preconditions again
+    # the q-scan with each q decided by the image engine: three charts at level 1
     cutoff = weil_cutoff(p)
     for k in range(2, k_max + 1, 2):
         q = k * p + 1
@@ -412,7 +452,7 @@ def reference_scan_q(a, b, c, p, k_max):
             continue
         if q > cutoff:
             break
-        if not solvable_mod_q_fast(a, b, c, p, q):
+        if _search((a, b, c), p, q, 1).status != "solvable":
             return q, k
     return None, None
 
@@ -462,7 +502,7 @@ class TestSweep:
         assert serial == parallel
 
     def test_rejects_bad_k_max_and_jobs(self):
-        for k_max, jobs in ((1, 1), (200, 0), (200, -1)):
+        for k_max, jobs in ((1, 1), (KMAX_BOUND + 1, 1), (200, 0), (200, -1)):
             with pytest.raises(PreconditionError):
                 sweep(3, 4, 5, 11, 40, k_max, jobs)
 

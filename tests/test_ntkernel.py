@@ -129,6 +129,14 @@ class TestJacobi:
                 for n in (-6, -1, 2, 5, 12):
                     assert jacobi(n, m1 * m2) == jacobi(n, m1) * jacobi(n, m2)
 
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        for _ in range(1000):
+            m = rng.randrange(1, 10 ** rng.randint(1, 30), 2)
+            n = rng.randint(-(10**30), 10**30)
+            assert jacobi(n, m) == sympy.jacobi_symbol(n, m), (n, m)
+
 
 class TestIsPrime:
     def test_small_cases(self):
@@ -236,6 +244,19 @@ class TestFactorSmall:
     def test_str(self):
         assert str(factor_small(-2160)) == "-2^4 * 3^3 * 5"
         assert str(factor_small(1)) == "1"
+
+    def test_agrees_with_sympy(self):
+        # products of primes up to the bound, some times a prime cofactor past it
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(8)
+        for i in range(120):
+            n = rng.choice((1, -1))
+            for _ in range(rng.randint(0, 4)):
+                n *= sympy.randprime(2, 10 ** rng.randint(1, 6)) ** rng.randint(1, 3)
+            if i % 3 == 0:
+                n *= sympy.randprime(10**6, 10 ** (12 if i % 40 == 0 else 9))
+            f = factor_small(n)
+            assert (f.sign, f.factors) == ((1 if n > 0 else -1), sympy.factorint(abs(n))), n
 
 
 class TestSquarefreePart:
