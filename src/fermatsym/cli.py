@@ -254,18 +254,22 @@ def cmd_sweep(args) -> int:
             for e in entries
         ],
     }
+    misses = [e.p for e in entries if e.obstruction is None]
+    _emit(args, doc, "" if args.json else _sweep_table(entries, misses))
+    return EXIT_UNDECIDED if misses else EXIT_OK
+
+
+def _sweep_table(entries, misses) -> str:
     lines = [f"{'p':>8} {'q':>10} {'k':>5}"]
     for e in entries:
         q = e.obstruction if e.obstruction is not None else "-"
         k = e.k if e.k is not None else "-"
         lines.append(f"{e.p:>8} {q:>10} {k:>5}")
-    misses = [e.p for e in entries if e.obstruction is None]
     lines.append(
         f"# {len(entries)} primes, {len(entries) - len(misses)} with obstructions"
         + (f", none found for {misses}" if misses else "")
     )
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_UNDECIDED if misses else EXIT_OK
+    return "\n".join(lines)
 
 
 def cmd_density(args) -> int:

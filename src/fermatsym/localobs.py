@@ -6,7 +6,11 @@ Where the prime sits:
   scan: every F_ell point lifts to Q_ell (smoothness), so level 1 decides.
   The p-th powers in F_ell* are mu_k, so membership is one pow test: three
   find the points with a zero coordinate, and one per step of a walk over
-  mu_k the others (chart x = 1), stopping at the first point.
+  mu_k the others (chart x = 1), stopping at the first point.  The walk
+  needs no factoring of k: it runs over the powers of t^p for t = 2, 3, ...
+  and drops each t whose powers return to 1 before k steps.  A p-th root
+  is u^(1/p mod k), or, when p | k, Adleman-Manders-Miller's: one discrete
+  log in the Sylow p-subgroup, whatever the size of k.
 * bad primes ell | p*a*b*c: one engine searches the images of x -> x^p
   mod ell^k, level by level, for a solution that lifts by Hensel's lemma,
   up to a depth cap; "undecided" is a first-class outcome when the cap or
@@ -20,10 +24,11 @@ Where the prime sits:
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .ntkernel import factor_small, is_prime, primes_in, valuation
 
@@ -206,17 +211,30 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
     return _level_one((a, b, c), p, q) is not None
 
 
-def _walk(p: int, q: int, k: int):
-    """(t^(i p), t^i) for i = 0 .. k - 1, where t^p generates mu_k: each p-th
-    power in F_q* once, next to one of its roots."""
-    primes = factor_small(k).factors
-    t = 2
-    while any(pow(t, p * k // r, q) == 1 for r in primes):  # t^p has order below k
-        t += 1
-    w, s, y = pow(t, p, q), 1, 1
-    for _ in range(k):
-        yield s, y
-        s, y = s * w % q, y * t % q
+def _pth_root(u: int, p: int, q: int) -> int:
+    """x with x^p = u, for a p-th power u in F_q* with p^2 | q - 1
+    (Adleman-Manders-Miller): with q - 1 = p^e m and p prime to m, u^(1/p mod m)
+    is a root up to an error in the Sylow p-subgroup, removed by one discrete
+    log there, digit by digit in base p with baby and giant steps of sqrt(p)."""
+    m, e = q - 1, 0
+    while m % p == 0:
+        m, e = m // p, e + 1
+    x = pow(u, pow(p, -1, m), q)
+    error = pow(x, p, q) * pow(u, -1, q) % q  # = g^L with p | L
+    rho = next(r for r in itertools.count(2) if pow(r, (q - 1) // p, q) != 1)
+    g = pow(rho, m, q)  # order p^e, since rho is no p-th power
+    gamma = pow(g, p ** (e - 1), q)  # order p
+    steps = isqrt(p - 1) + 1
+    baby = {pow(gamma, j, q): j for j in range(steps)}
+    giant = pow(gamma, -steps, q)
+    log = 0
+    for j in range(1, e):  # the digit at p^0 is 0
+        h = pow(error * pow(g, -log, q) % q, p ** (e - 1 - j), q)
+        i = 0
+        while h not in baby:
+            h, i = h * giant % q, i + 1
+        log += (i * steps + baby[h]) * p**j
+    return x * pow(g, -(log // p), q) % q
 
 
 def _level_one(coeffs, p: int, q: int) -> Witness | None:
@@ -225,9 +243,7 @@ def _level_one(coeffs, p: int, q: int) -> Witness | None:
     k = (q - 1) // gcd(p, q - 1)
 
     def root(u):  # x with x^p = u, for u in mu_k
-        if k % p:
-            return pow(u, pow(p, -1, k), q)
-        return next(y for s, y in _walk(p, q, k) if s == u)
+        return pow(u, pow(p, -1, k), q) if k % p else _pth_root(u, p, q)
 
     # points with a zero coordinate: x_i^p = -c_j/c_i at x_j = 1, which is in
     # mu_k iff c_i^k = c_j^k, since -1 = (-1)^p is
@@ -237,12 +253,20 @@ def _level_one(coeffs, p: int, q: int) -> Witness | None:
             triple = [0, 0, 0]
             triple[i], triple[j] = root(-coeffs[j] * pow(coeffs[i], -1, q) % q), 1
             return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
+    # the chart x = 1: s = y^p runs over the powers of t^p for t = 2, 3, ...;
+    # a t whose powers return to 1 before k steps spans less than mu_k
     a, b, c = coeffs
-    for s, y in _walk(p, q, k):
-        if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
-            z = root(-(a + b * s) * pow(c, -1, q) % q)
-            return _checked(coeffs, p, q, Witness((1, y, z), 1, 0, 0))
-    return None
+    for t in itertools.count(2):
+        w, s = pow(t, p, q), 1
+        for i in range(k):
+            if s == 1 and i:
+                break  # t^p has order i < k: drop t
+            if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
+                z = root(-(a + b * s) * pow(c, -1, q) % q)
+                return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
+            s = s * w % q
+        else:
+            return None
 
 
 def _checked(coeffs, p: int, ell: int, witness: Witness) -> Witness:

@@ -9,20 +9,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt, prod
 
 TRIAL_DIVISION_BOUND = 10**6
 
 # Deterministic Miller-Rabin: the first r primes as witnesses decide every n
-# below psi_r, the least strong pseudoprime to all of them (psi_4 to psi_7:
-# Jaeschke 1993; psi_9, psi_12, psi_13: Sorenson-Webster 2015).  is_prime takes
-# the shortest proven prefix and refuses n >= psi_13 rather than guess.
+# below psi_r, the least strong pseudoprime to all of them (psi_2 to psi_4:
+# Pomerance-Selfridge-Wagstaff 1980; psi_5 to psi_7: Jaeschke 1993; psi_9,
+# psi_12, psi_13: Sorenson-Webster 2015).  is_prime takes the shortest proven
+# prefix and refuses n >= psi_13 rather than guess.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUNDS = (  # (psi_r, r); psi_8 = psi_7 and psi_10 = psi_11 = psi_9
-    (3_215_031_751, 4), (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
-    (3_317_044_064_679_887_385_961_981, 13),
+    (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6), (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12), (3_317_044_064_679_887_385_961_981, 13),
 )
+_MR_LIMIT = _MR_BOUNDS[-1][0]
+_WITNESS_PRODUCT = prod(_MR_WITNESSES)
+
+# is_prime trial-divides by the primes below _TRIAL_LIMIT as one gcd with
+# their product (set after primes_in); a survivor below _TRIAL_LIMIT**2 is prime.
+_TRIAL_LIMIT = 1000
 
 
 class FactorizationError(Exception):
@@ -71,14 +78,15 @@ def is_prime(n: int) -> bool:
     FactorizationError past it unless a witness prime divides n."""
     if n < 0:
         raise ValueError("is_prime expects a non-negative integer")
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    r = next((r for bound, r in _MR_BOUNDS if n < bound), None)
-    if r is None:
-        raise FactorizationError(f"{n} is past the proven Miller-Rabin bound {_MR_BOUNDS[-1][0]}")
+    if n >= _MR_LIMIT and gcd(n, _WITNESS_PRODUCT) == 1:
+        raise FactorizationError(f"{n} is past the proven Miller-Rabin bound {_MR_LIMIT}")
+    if gcd(n, _TRIAL_PRODUCT) > 1:
+        return n in _TRIAL_PRIMES
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        return n > 1
+    for bound, r in _MR_BOUNDS:
+        if n < bound:
+            break
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -102,15 +110,24 @@ def prime_sieve(limit: int) -> list[int]:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p < hi: a sieve of hi - lo bytes by the primes up to sqrt(hi)."""
+    """Primes p with lo <= p < hi: a sieve of hi - lo bytes by the primes up to
+    sqrt(hi), or is_prime on each n when the window is narrower than (about)
+    the count of those primes."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
+    root = isqrt(hi - 1)
+    if hi - lo < root // root.bit_length():  # root / log2(root) is about 0.7 pi(root)
+        return [n for n in range(lo, hi) if is_prime(n)]
     flags = bytearray([1]) * (hi - lo)
-    for r in prime_sieve(isqrt(hi - 1) + 1):
+    for r in prime_sieve(root + 1):
         start = max(r * r, -(-lo // r) * r) - lo
         flags[start::r] = bytearray(len(range(start, hi - lo, r)))
     return list(compress(range(lo, hi), flags))
+
+
+_TRIAL_PRIMES = frozenset(prime_sieve(_TRIAL_LIMIT))  # 168 primes: a 1000-byte sieve
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
 def factor_small(n: int, bound: int = TRIAL_DIVISION_BOUND) -> FactoredInt:

@@ -118,6 +118,25 @@ class TestLocal:
         assert check_witness(1, 1, 2, 3, 600011, witness)
 
     @pytest.mark.parametrize(
+        "ell",
+        [
+            "1000000009",  # 3^2 | ell - 1: roots in mu_k by Adleman-Manders-Miller, not a walk
+            "1000000000063",
+            "100000000000000000039",  # (ell - 1)/3 has a prime factor past trial division
+        ],
+    )
+    def test_good_prime_one_mod_p_at_once(self, capsys, schema, ell):
+        started = time.perf_counter()
+        code, doc, _ = run_json(capsys, schema, "local", "--eq", "3,4,5", "--p", "3", "--ell", ell)
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert doc["status"] == "solvable"
+        w = doc["witness"]
+        witness = Witness(tuple(w["triple"]), w["level"], w["coordinate"], w["derivative_valuation"])
+        assert witness.level == 1
+        assert check_witness(3, 4, 5, 3, int(ell), witness)
+
+    @pytest.mark.parametrize(
         "flag, value",
         [
             ("--p", "0"), ("--p", "-3"), ("--p", "2"), ("--p", "9"),

@@ -11,6 +11,7 @@ from fermatsym.localobs import (
     PreconditionError,
     Witness,
     _level_one,
+    _pth_root,
     _scan_q,
     _search,
     _unit_powers,
@@ -228,6 +229,42 @@ class TestSolvableModQFast:
                     if witness is not None:
                         kinds.add("zero coordinate" if 0 in witness.triple else "chart")
         assert kinds == {"zero coordinate", "chart"}
+
+    def test_pth_roots_by_amm_against_brute_force(self):
+        # every q < 10^4 with p^2 | q - 1; all p-th powers for q < 1000, and
+        # a seeded sample of them above
+        rng = random.Random(9)
+        count = 0
+        for p in primes_in(3, 100):
+            for q in primes_in(p * p + 1, 10**4):
+                if (q - 1) % (p * p):
+                    continue
+                roots = {}
+                for x in range(1, q):
+                    roots.setdefault(pow(x, p, q), set()).add(x)
+                powers = sorted(roots) if q < 1000 else rng.sample(sorted(roots), 10)
+                for u in powers:
+                    assert _pth_root(u, p, q) in roots[u], (u, p, q)
+                count += 1
+        assert count > 200
+
+    def test_walk_drops_t_whose_powers_close_early(self):
+        # at q = 7, p = 3 the walk from t = 2 closes at once (2^3 = 1), and
+        # the only points have y^3 = -1, so only t = 3 finds one
+        assert pow(2, 3, 7) == 1
+        assert not any(pow(n, 2, 7) == pow(m, 2, 7) for n, m in ((1, 3), (1, 2), (3, 2)))
+        witness = _level_one((1, 3, 2), 3, 7)
+        assert witness == Witness((1, 3, 1), 1, 0, 0)
+        assert projective_points_exist(1, 3, 2, 3, 7)
+
+    def test_good_primes_do_not_factor(self, monkeypatch):
+        def refuse(n, *args):
+            raise AssertionError(f"factor_small({n}) at a good prime")
+
+        monkeypatch.setattr("fermatsym.localobs.factor_small", refuse)
+        assert _scan_q(3, 4, 5, 101, 200) == (607, 6)
+        for ell in (7, 13, 19, 37, 1000000009):
+            assert solvable_over_Ql(1, 1, 1, 3, ell).status == "solvable"
 
     def test_oracle_equivalence_up_to_200(self):
         # full projective enumeration vs the subgroup test
@@ -517,6 +554,17 @@ class TestSweep:
             with pytest.raises(PreconditionError):
                 sweep(3, 4, 5, lo, hi)
         assert time.perf_counter() - started < 1
+
+    def test_narrow_window_below_the_bound_squared_at_once(self):
+        # 60 numbers, not a sieve of the 664 579 base primes below 10^7
+        started = time.perf_counter()
+        entries = sweep(3, 4, 5, 10**14 - 60, 10**14)
+        assert time.perf_counter() - started < 0.5
+        assert [(e.p, e.obstruction, e.k) for e in entries] == [
+            (99999999999959, 4799999999998033, 48),
+            (99999999999971, 799999999999769, 8),
+            (99999999999973, 2199999999999407, 22),
+        ]
 
     def test_jobs_clamped_to_cpus_and_tasks(self, monkeypatch):
         import concurrent.futures

@@ -182,7 +182,25 @@ class TestIsPrime:
             if r < 13:
                 assert not is_prime(psi), r
         assert 399165290221 * 798330580441 == PSI[12]
-        assert [(r, psi) for psi, r in _MR_BOUNDS] == [(r, PSI[r]) for r in (4, 5, 6, 7, 9, 12, 13)]
+        assert [(r, psi) for psi, r in _MR_BOUNDS] == [(r, PSI[r]) for r in (2, 3, 4, 5, 6, 7, 9, 12, 13)]
+
+    def test_agrees_with_all_13_witnesses_around_the_trial_division_bound(self):
+        # below 10^6 = 1000^2 a number with no prime factor under 1000 is prime
+        window = range(10**6 - 3000, 10**6 + 3000)
+        assert [n for n in window if is_prime(n)] == primes_in(window.start, window.stop)
+        for n in window:
+            assert is_prime(n) == reference_is_prime(n), n
+
+    def test_composites_with_least_factor_between_41_and_1000(self):
+        # trial division by the 13 witnesses misses these; the gcd with the
+        # primes below 1000 does not
+        small = primes_in(42, 1000)
+        sieved = set(primes_in(0, 1009 * 1000))
+        for r in small:
+            for n in (r * r, r * 1009):
+                assert not is_prime(n) and n not in sieved, n
+            for n in (r * 1_000_003, r * 1_000_000_007, r * 1_000_000_000_000_000_003):
+                assert not is_prime(n) and not reference_is_prime(n), n
 
     def test_refuses_past_psi_13_unless_a_witness_divides(self):
         for n in [*range(PSI[13], PSI[13] + 100), 10**40 + 1]:
@@ -208,6 +226,16 @@ class TestPrimesIn:
     def test_prime_sieve_is_primes_from_2(self):
         for limit in range(-2, 200):
             assert prime_sieve(limit) == reference_primes_in(2, limit), limit
+
+    def test_narrow_windows_test_each_number(self):
+        # windows narrower than about pi(sqrt(hi)) skip the sieve; a wide
+        # window around them is sieved
+        rng = random.Random(5)
+        for _ in range(20):
+            lo = rng.randrange(10**6, 10**10)
+            width = rng.randrange(1, 60)
+            wide = primes_in(lo - 5000, lo + 5000)
+            assert primes_in(lo, lo + width) == [n for n in wide if lo <= n < lo + width], (lo, width)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-10, 10**6), st.integers(-10, 5000))
