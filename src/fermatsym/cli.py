@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", required=True, metavar="A,B,C")
     p.add_argument("--p", required=True, type=int, help="exponent prime")
     p.add_argument("--ell", required=True, type=int, help="place to test")
-    p.add_argument("--max-level", type=int, default=None, help="depth cap override")
+    p.add_argument("--max-level", type=int, default=None, help="depth cap (default: none)")
     add_common(p)
     p.set_defaults(func=cmd_local)
 

@@ -11,10 +11,14 @@ Where the prime sits:
   and drops each t whose powers return to 1 before k steps.  A p-th root
   is u^(1/p mod k), or, when p | k, Adleman-Manders-Miller's: one discrete
   log in the Sylow p-subgroup, whatever the size of k.
-* bad primes ell | p*a*b*c: one engine searches the images of x -> x^p
-  mod ell^k, level by level, for a solution that lifts by Hensel's lemma,
-  up to a depth cap; "undecided" is a first-class outcome when the cap or
-  IMAGE_BOUND is hit, never a silent wrong answer.
+* bad primes ell | p*a*b*c: exact, by valuation cases.  Write c_i =
+  ell^V_i u_i and v_i = V_i mod p (scaling x_i by ell adds p to V_i).  P,
+  the unit p-th powers of Z_ell, is read mod ell^kappa (kappa = 2 at
+  ell = p, else 1) by one pow.  A point exists iff (1) some v_i = v_j with
+  -u_j/u_i in P, (2) ell = p, v_i = v_j and v_k = v_i + 1 mod p, or (3) all
+  v_i agree and the unit equation has a point mod ell^kappa (at ell = p a
+  walk over the p - 1 units t^p mod p^2).  Only a walk past IMAGE_BOUND, or
+  a depth cap, gives "undecided".
 * large good primes: a smooth plane curve of genus (p-1)(p-2)/2 over F_q
   has points once q + 1 > (p-1)(p-2)*sqrt(q), so primes above the cutoff
   ((p-1)(p-2))^2 can never obstruct, which turns "no obstruction" into a
@@ -23,7 +27,6 @@ Where the prime sits:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import time
@@ -32,9 +35,9 @@ from math import gcd, isqrt
 
 from .ntkernel import factor_small, is_prime, primes_in, valuation
 
-# The most unit p-th powers a level may hold (p^(k-1) mod p^k): deeper
-# levels at large ell = p are "undecided" instead of running for minutes.
-# `obstruct` on the paper equations for p <= 29 needs at most 29 * 28.
+# The longest walk over unit p-th powers one call may start (mu_k in F_q*,
+# or the p - 1 units t^p mod p^2 at ell = p): past it a bad prime is
+# "undecided" at once, and solvable_mod_q_fast refuses q.
 IMAGE_BOUND = 200_000
 
 # The widest window [p_min, p_max), and largest sqrt(p_max), that sweep sieves.
@@ -103,95 +106,77 @@ def _check_k_max(k_max: int) -> None:
         raise PreconditionError(f"k_max must be between 2 and KMAX_BOUND = {KMAX_BOUND}, got {k_max}")
 
 
-def _unit_power_count(p: int, ell: int, m: int) -> int:
-    # the units mod ell^m are cyclic for odd ell, and x -> x^p permutes them
-    # for ell = 2 (p is odd), so phi/gcd(p, phi) of them are p-th powers
-    phi = ell**m - ell ** (m - 1)
-    return phi // gcd(p, phi)
+def _bad_prime(coeffs, p: int, ell: int, max_level: int | None) -> LocalResult:
+    """The valuation cases of the module docstring at ell | p*a*b*c."""
+    vals = [valuation(n, ell) for n in coeffs]
+    units = [n // ell**v for n, v in zip(coeffs, vals)]
+    kappa = 2 if ell == p else 1  # also 1 + v_ell(p)
+    mod = ell**kappa
+    k = (mod - mod // ell) // gcd(p, mod - mod // ell)  # the unit p-th powers mod ell^kappa are mu_k
 
+    def witness(X, shift=(0, 0, 0)):
+        # X_m times ell^g_m puts the terms at valuations W + shift_m, and for
+        # each n at W makes -(the other terms)/(c_n ell^(p g_n)) a unit in P;
+        # the n of least e becomes ell^g_n times its p-th root, lifted until
+        # the point certifies at level 2e + 1
+        W = max(v - s for v, s, x in zip(vals, shift, X) if x)
+        g = [(W + s - v) // p for v, s in zip(vals, shift)]
+        x = [ell**a * b if b else 0 for a, b in zip(g, X)]
+        e, n = min((kappa - 1 + vals[m] + (p - 1) * g[m], m) for m in range(3) if X[m] and not shift[m])
+        level = 2 * e + 1
+        modulus, low = ell**level, ell ** (level - W)
+        rest = -sum(coeffs[m] * pow(x[m], p, modulus) for m in range(3) if m != n) % modulus
+        x[n] = ell ** g[n] * _lift_root(rest // ell**W * pow(units[n], -1, low) % low, p, ell, level - W)
+        return _checked(coeffs, p, ell, Witness(tuple(t % modulus for t in x), level, n, e))
 
-def _unit_powers(p: int, ell: int, m: int) -> dict[int, int]:
-    """{x^p mod ell^m: x} over the units x, closing the subgroup under t^p."""
-    modulus = ell**m
-    size = _unit_power_count(p, ell, m)
-    powers = {1: 1}
-    t = 1
-    while len(powers) < size:
-        t += 1
-        if t % ell == 0:
+    found = []
+    for i, j, n in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        if (vals[i] - vals[j]) % p:
             continue
-        g = pow(t, p, modulus)
-        coset, root, new = g, t, {}
-        while coset not in powers:
-            for x, r in powers.items():
-                new[x * coset % modulus] = r * root % modulus
-            coset, root = coset * g % modulus, root * t % modulus
-        powers.update(new)
-    return powers
+        ratio = -units[j] * pow(units[i], -1, mod) % mod  # x_i^p at x_j = 1, x_n = 0
+        X, shift = [1, 1, 1], [0, 0, 0]
+        X[n] = 0
+        if pow(ratio, k, mod) == 1:  # rule 1
+            found.append(witness(X))
+        elif ell == p and (vals[n] - vals[i] - 1) % p == 0:  # rule 2
+            # x_i = ratio makes x_i^p = ratio^p, the lift of ratio in P, and
+            # the term of x_n, one valuation higher, cancels the rest mod p^2
+            X[i], shift[n] = ratio, 1
+            X[n] = -(units[i] * pow(ratio, p, mod) + units[j]) // p * pow(units[n], -1, p) % p
+            found.append(witness(X, shift))
+    if not found and (vals[0] - vals[1]) % p == (vals[0] - vals[2]) % p == 0:  # rule 3
+        if k > IMAGE_BOUND:
+            return LocalResult("undecided", ell)
+        if ell != p:
+            point = _level_one(units, p, ell)
+            found = [witness(point.triple)] if point else []
+        else:  # y^p = t^p runs over mu_(p-1) mod p^2, and z^p = z for z in P
+            inverse = pow(units[2], -1, mod)
+            for t in range(1, p):
+                z = -(units[0] + units[1] * pow(t, p, mod)) * inverse % mod
+                if z % p and pow(z, k, mod) == 1:
+                    found = [witness((1, t, z))]
+                    break
+    best = min(found, key=lambda w: w.level, default=None)
+    level = best.level if best else kappa + max(vals)
+    if max_level is not None and level > max_level:
+        return LocalResult("undecided", ell)
+    return LocalResult("solvable" if best else "unsolvable", ell, best, level)
 
 
-def _image(p: int, ell: int, k: int) -> dict[int, tuple[int, int]]:
-    """{x^p mod ell^k: (x, v(x))}.  At 0, (0, k) stands for every x with
-    ell^k | x^p; none of them can certify (2 (p - 1) ceil(k/p) > k), and
-    the stand-in valuation k keeps that so for c x^p mod ell^(k + v(c))."""
-    image = {0: (0, k)}
-    for j in range((k - 1) // p + 1):  # j p < k
-        scale, lift = ell ** (j * p), ell**j
-        for u, r in _unit_powers(p, ell, k - j * p).items():
-            image[scale * u] = (lift * r, j)
-    return image
-
-
-def _chart_level(coeffs, p, ell, chart, level, image):
-    """Solutions mod ell^level with coordinate `chart` set to 1: a certified
-    Witness, True if none is certified, None if there are none.  Each image
-    s leaves c t = -a - b s, one lookup in the image mod ell^(level - v(c))."""
-    i, j = [n for n in range(3) if n != chart]
-    a, b, c = coeffs[chart], coeffs[i], coeffs[j]
+def _lift_root(w: int, p: int, ell: int, level: int) -> int:
+    """r with r^p = w mod ell^level, for a unit w that is a p-th power in
+    Z_ell: a root mod ell (mod p^3 at ell = p), then Newton's steps
+    r -> r - (r^p - w)/(p r^(p-1)), each of which about doubles the precision."""
+    if ell == p:  # w^p = w mod p^2 for w in P, and (1 + pt)^p = 1 + p^2 t mod p^3
+        r, s = w * (1 + (pow(w, 1 - p, p**3) - 1) // p), p
+    else:
+        r, s = _root(w % ell, p, ell), 1
     modulus = ell**level
-    vc = min(valuation(c, ell), level)
-    shift, low = ell**vc, ell ** (level - vc)
-    inverse = pow(c // shift, -1, low)
-    targets = image(level - vc)
-    derivative = [valuation(p * n, ell) for n in coeffs]
-    found = None
-    for s, (x, vx) in image(level).items():
-        r = (-a - b * s) % modulus
-        if r % shift:
-            continue
-        hit = targets.get(r // shift * inverse % low)
-        if hit is None:
-            continue
-        triple, vals = [1, 1, 1], [0, 0, 0]
-        (triple[i], vals[i]), (triple[j], vals[j]) = (x, vx), hit
-        # Hensel: the point lifts along coordinate n once 2 v(dF/dx_n) < level
-        for n in range(3):
-            e = derivative[n] + (p - 1) * vals[n]
-            if 2 * e < level:
-                return Witness(tuple(triple), level, n, e)
-        found = True
-    return found
-
-
-def _search(coeffs, p: int, ell: int, max_level: int) -> LocalResult:
-    """Charts 0, 1, 2 in turn, each level by level: "unsolvable" at its
-    first level without solutions, "solvable" at its first certified level,
-    "undecided" at max_level or where the image would pass IMAGE_BOUND."""
-    cap = 0
-    while cap < max_level and _unit_power_count(p, ell, cap + 1) <= IMAGE_BOUND:
-        cap += 1
-    image = functools.cache(functools.partial(_image, p, ell))  # this call only
-    undecided, best_levels = False, 0
-    for chart in range(3):
-        levels, found = 0, True
-        while found is True and levels < cap:
-            levels += 1
-            found = _chart_level(coeffs, p, ell, chart, levels, image)
-        best_levels = max(best_levels, levels)
-        if isinstance(found, Witness):
-            return LocalResult("solvable", ell, _checked(coeffs, p, ell, found), levels)
-        undecided = undecided or found is True
-    return LocalResult("undecided" if undecided else "unsolvable", ell, None, best_levels)
+    while (pow(r, p, modulus) - w) % modulus:
+        f = (pow(r, p, s * modulus) - w) % (s * modulus) // s  # (r^p - w)/s; v(p/s) = 0
+        r = (r - f * pow(p // s * pow(r, p - 1, modulus), -1, modulus)) % modulus
+    return r
 
 
 def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
@@ -237,21 +222,23 @@ def _pth_root(u: int, p: int, q: int) -> int:
     return x * pow(g, -(log // p), q) % q
 
 
+def _root(u: int, p: int, q: int) -> int:
+    """x with x^p = u mod the prime q, for a p-th power u prime to q."""
+    k = (q - 1) // gcd(p, q - 1)
+    return pow(u, pow(p, -1, k), q) if k % p else _pth_root(u, p, q)
+
+
 def _level_one(coeffs, p: int, q: int) -> Witness | None:
     """A checked level-1 witness at a prime q prime to p*a*b*c, or None when
     there is no F_q point."""
     k = (q - 1) // gcd(p, q - 1)
-
-    def root(u):  # x with x^p = u, for u in mu_k
-        return pow(u, pow(p, -1, k), q) if k % p else _pth_root(u, p, q)
-
     # points with a zero coordinate: x_i^p = -c_j/c_i at x_j = 1, which is in
     # mu_k iff c_i^k = c_j^k, since -1 = (-1)^p is
     powers = [pow(n, k, q) for n in coeffs]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if powers[i] == powers[j]:
             triple = [0, 0, 0]
-            triple[i], triple[j] = root(-coeffs[j] * pow(coeffs[i], -1, q) % q), 1
+            triple[i], triple[j] = _root(-coeffs[j] * pow(coeffs[i], -1, q) % q, p, q), 1
             return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
     # the chart x = 1: s = y^p runs over the powers of t^p for t = 2, 3, ...;
     # a t whose powers return to 1 before k steps spans less than mu_k
@@ -262,7 +249,7 @@ def _level_one(coeffs, p: int, q: int) -> Witness | None:
             if s == 1 and i:
                 break  # t^p has order i < k: drop t
             if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
-                z = root(-(a + b * s) * pow(c, -1, q) % q)
+                z = _root(-(a + b * s) * pow(c, -1, q) % q, p, q)
                 return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
             s = s * w % q
         else:
@@ -289,29 +276,25 @@ def check_witness(a: int, b: int, c: int, p: int, ell: int, witness: Witness) ->
     return e == witness.derivative_valuation and 2 * e < witness.level
 
 
-def default_depth_cap(a: int, b: int, c: int, p: int, ell: int) -> int:
-    # deep enough for the certificate at a unit coordinate: e <= v(p*a*b*c),
-    # and the certificate needs level > 2e
-    return 2 * (valuation(p * a * b * c, ell) + 1) + 1
-
-
 def solvable_over_Ql(
     a: int, b: int, c: int, p: int, ell: int, max_level: int | None = None
 ) -> LocalResult:
-    """Decide existence of a nontrivial Q_ell point on a x^p + b y^p + c z^p = 0."""
+    """Decide existence of a nontrivial Q_ell point on a x^p + b y^p + c z^p = 0.
+
+    levels_explored is the level the verdict rests on: the witness level, or
+    kappa + max v_ell(c_i) for "unsolvable" (1 at a good prime).  A verdict
+    past max_level is "undecided" instead."""
     _check_exponent(p)
     if ell < 2 or not is_prime(ell):
         raise PreconditionError(f"{ell} is not prime")
     if a == 0 or b == 0 or c == 0:
         raise PreconditionError("coefficients must be nonzero")
-    if max_level is None:
-        max_level = default_depth_cap(a, b, c, p, ell)
-    elif max_level < 1:
+    if max_level is not None and max_level < 1:
         raise PreconditionError(f"max_level must be at least 1, got {max_level}")
     if (p * a * b * c) % ell:
         witness = _level_one((a, b, c), p, ell)
         return LocalResult("solvable" if witness else "unsolvable", ell, witness, 1)
-    return _search((a, b, c), p, ell, max_level)
+    return _bad_prime((a, b, c), p, ell, max_level)
 
 
 def bad_primes(a: int, b: int, c: int, p: int) -> list[int]:

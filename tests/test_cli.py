@@ -95,15 +95,36 @@ class TestLocal:
         assert code == 1
         assert doc["status"] == "undecided"
 
-    def test_image_bound_exit_1_at_once(self, capsys, schema):
-        # the certificate needs level 5, where the image mod 101^5 has ~101^4 elements
+    @pytest.mark.parametrize(
+        "eq, p", [("1,1,1", "449"), ("1,1,1", "1009"), ("1,1,1", "100003"), ("1,202,202", "101")]
+    )
+    def test_ell_equal_p_decided_at_once(self, capsys, schema, eq, p):
+        # (1 : -1 : 0) and (0 : 1 : -1) are rational points; the certificate
+        # sits at level 3 or 5 mod p^level, past what an image of p-th powers
+        # could hold
+        started = time.perf_counter()
+        code, doc, _ = run_json(capsys, schema, "local", "--eq", eq, "--p", p, "--ell", p)
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert doc["status"] == "solvable"
+        w = doc["witness"]
+        witness = Witness(tuple(w["triple"]), w["level"], w["coordinate"], w["derivative_valuation"])
+        assert check_witness(*map(int, eq.split(",")), int(p), int(p), witness)
+
+    def test_walk_past_the_image_bound_exit_1_at_once(self, capsys, schema):
+        # at ell = p = 1000003 no pair of 3, 4, 5 has a ratio in P, and the
+        # walk over the p - 1 units t^p mod p^2 would pass IMAGE_BOUND
         started = time.perf_counter()
         code, doc, _ = run_json(
-            capsys, schema, "local", "--eq", "1,202,202", "--p", "101", "--ell", "101"
+            capsys, schema, "local", "--eq", "3,4,5", "--p", "1000003", "--ell", "1000003"
         )
-        assert time.perf_counter() - started < 5
+        assert time.perf_counter() - started < 1
         assert code == 1
         assert doc["status"] == "undecided"
+        code, doc, _ = run_json(capsys, schema, "obstruct", "--eq", "3,4,5", "--p", "1000003", "--kmax", "2")
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert doc["undecided"] == [1000003]
 
     def test_good_prime_past_the_image_bound_at_once(self, capsys, schema):
         # 600011 = 2 mod 3, so x -> x^3 permutes F_600011* and points exist

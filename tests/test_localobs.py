@@ -1,6 +1,8 @@
+import functools
 import os
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -8,16 +10,16 @@ from fermatsym.localobs import (
     IMAGE_BOUND,
     KMAX_BOUND,
     SWEEP_BOUND,
+    LocalResult,
     PreconditionError,
     Witness,
+    _checked,
     _level_one,
+    _lift_root,
     _pth_root,
     _scan_q,
-    _search,
-    _unit_powers,
     bad_primes,
     check_witness,
-    default_depth_cap,
     has_local_obstruction,
     solvable_mod_q_fast,
     solvable_over_Ql,
@@ -157,6 +159,126 @@ def reference_solvable_over_Ql(a, b, c, p, ell, max_level, budget=5_000):
             return status, levels
         undecided = undecided or status == "undecided"
     return ("undecided" if undecided else "unsolvable"), best_levels
+
+
+# ---------------------------------------------------------------------------
+# The image engine that the valuation cases replaced at bad primes: the
+# images of x -> x^p mod ell^k, searched level by level up to a depth cap.
+# ---------------------------------------------------------------------------
+
+
+def _unit_power_count(p: int, ell: int, m: int) -> int:
+    # the units mod ell^m are cyclic for odd ell, and x -> x^p permutes them
+    # for ell = 2 (p is odd), so phi/gcd(p, phi) of them are p-th powers
+    phi = ell**m - ell ** (m - 1)
+    return phi // gcd(p, phi)
+
+
+def _unit_powers(p: int, ell: int, m: int) -> dict[int, int]:
+    """{x^p mod ell^m: x} over the units x, closing the subgroup under t^p."""
+    modulus = ell**m
+    size = _unit_power_count(p, ell, m)
+    powers = {1: 1}
+    t = 1
+    while len(powers) < size:
+        t += 1
+        if t % ell == 0:
+            continue
+        g = pow(t, p, modulus)
+        coset, root, new = g, t, {}
+        while coset not in powers:
+            for x, r in powers.items():
+                new[x * coset % modulus] = r * root % modulus
+            coset, root = coset * g % modulus, root * t % modulus
+        powers.update(new)
+    return powers
+
+
+def _image(p: int, ell: int, k: int) -> dict[int, tuple[int, int]]:
+    """{x^p mod ell^k: (x, v(x))}.  At 0, (0, k) stands for every x with
+    ell^k | x^p; none of them can certify (2 (p - 1) ceil(k/p) > k), and
+    the stand-in valuation k keeps that so for c x^p mod ell^(k + v(c))."""
+    image = {0: (0, k)}
+    for j in range((k - 1) // p + 1):  # j p < k
+        scale, lift = ell ** (j * p), ell**j
+        for u, r in _unit_powers(p, ell, k - j * p).items():
+            image[scale * u] = (lift * r, j)
+    return image
+
+
+def _chart_level(coeffs, p, ell, chart, level, image):
+    """Solutions mod ell^level with coordinate `chart` set to 1: a certified
+    Witness, True if none is certified, None if there are none.  Each image
+    s leaves c t = -a - b s, one lookup in the image mod ell^(level - v(c))."""
+    i, j = [n for n in range(3) if n != chart]
+    a, b, c = coeffs[chart], coeffs[i], coeffs[j]
+    modulus = ell**level
+    vc = min(valuation(c, ell), level)
+    shift, low = ell**vc, ell ** (level - vc)
+    inverse = pow(c // shift, -1, low)
+    targets = image(level - vc)
+    derivative = [valuation(p * n, ell) for n in coeffs]
+    found = None
+    for s, (x, vx) in image(level).items():
+        r = (-a - b * s) % modulus
+        if r % shift:
+            continue
+        hit = targets.get(r // shift * inverse % low)
+        if hit is None:
+            continue
+        triple, vals = [1, 1, 1], [0, 0, 0]
+        (triple[i], vals[i]), (triple[j], vals[j]) = (x, vx), hit
+        # Hensel: the point lifts along coordinate n once 2 v(dF/dx_n) < level
+        for n in range(3):
+            e = derivative[n] + (p - 1) * vals[n]
+            if 2 * e < level:
+                return Witness(tuple(triple), level, n, e)
+        found = True
+    return found
+
+
+def _search(coeffs, p: int, ell: int, max_level: int) -> LocalResult:
+    """Charts 0, 1, 2 in turn, each level by level: "unsolvable" at its
+    first level without solutions, "solvable" at its first certified level,
+    "undecided" at max_level or where the image would pass IMAGE_BOUND."""
+    cap = 0
+    while cap < max_level and _unit_power_count(p, ell, cap + 1) <= IMAGE_BOUND:
+        cap += 1
+    image = functools.cache(functools.partial(_image, p, ell))  # this call only
+    undecided, best_levels = False, 0
+    for chart in range(3):
+        levels, found = 0, True
+        while found is True and levels < cap:
+            levels += 1
+            found = _chart_level(coeffs, p, ell, chart, levels, image)
+        best_levels = max(best_levels, levels)
+        if isinstance(found, Witness):
+            return LocalResult("solvable", ell, _checked(coeffs, p, ell, found), levels)
+        undecided = undecided or found is True
+    return LocalResult("undecided" if undecided else "unsolvable", ell, None, best_levels)
+
+def default_depth_cap(a: int, b: int, c: int, p: int, ell: int) -> int:
+    # deep enough for the certificate at a unit coordinate: e <= v(p*a*b*c),
+    # and the certificate needs level > 2e
+    return 2 * (valuation(p * a * b * c, ell) + 1) + 1
+
+
+def seeded_bad_prime_cases(seed, count):
+    """(a, b, c, p, ell) at every bad prime of seeded equations for p <= 13,
+    each coefficient a signed product of 2, 3, 5, 7 and p to exponents up to
+    p + 1."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        p = rng.choice((3, 5, 7, 11, 13))
+        eq = []
+        for _ in range(3):
+            n = rng.choice((1, -1, 11, -13))
+            for q in rng.sample((2, 3, 5, 7, p), 2):
+                n *= q ** rng.choice((0, 1, 2, 3, p - 1, p, p + 1))
+            eq.append(n)
+        cases += [(*eq, p, ell) for ell in bad_primes(*eq, p)]
+    return cases
 
 
 def seeded_local_cases(seed, count):
@@ -345,9 +467,16 @@ class TestSolvableOverQl:
         full = solvable_over_Ql(1, 1, 1, 3, 3)
         assert full.status == "solvable"
 
-    def test_default_cap_depends_on_bad_valuation(self):
-        assert default_depth_cap(3, 8, 21, 3, 3) == 2 * (3 + 1) + 1
-        assert default_depth_cap(3, 4, 5, 5, 11) == 3
+    def test_levels_explored_is_the_level_the_verdict_rests_on(self):
+        # unsolvable: kappa + max v(c_i), kappa = 2 at ell = p and 1 otherwise;
+        # solvable: the witness level; above max_level: undecided
+        for a, b, c, p, ell, level in ((3, 8, 21, 3, 3, 3), (3, 8, 21, 3, 7, 2)):
+            assert solvable_over_Ql(a, b, c, p, ell) == LocalResult("unsolvable", ell, None, level)
+            assert solvable_over_Ql(a, b, c, p, ell, level).status == "unsolvable"
+            assert solvable_over_Ql(a, b, c, p, ell, level - 1) == LocalResult("undecided", ell)
+        res = solvable_over_Ql(1, 1, 1, 3, 3)
+        assert res.levels_explored == res.witness.level == 3
+        assert solvable_over_Ql(1, 1, 1, 3, 3, 3) == res
 
     def test_rejects_composite_ell(self):
         with pytest.raises(PreconditionError):
@@ -385,14 +514,23 @@ class TestSolvableOverQl:
             assert check_witness(a, b, c, p, ell, res.witness)
 
     def test_agrees_with_survivor_search(self):
+        # the survivor search finds every witness of level <= cap, and the
+        # valuation cases read the coefficients no deeper than its levels, so
+        # under the same cap the status is the reference's or "undecided"
         compared, kinds = 0, set()
         for a, b, c, p, ell, cap in seeded_local_cases(11, 300):
             try:
-                expected = reference_solvable_over_Ql(a, b, c, p, ell, cap)
+                expected, _ = reference_solvable_over_Ql(a, b, c, p, ell, cap)
             except ReferenceTooSlow:
                 continue
             res = solvable_over_Ql(a, b, c, p, ell, cap)
-            assert (res.status, res.levels_explored) == expected, (a, b, c, p, ell, cap)
+            assert res.status in (expected, "undecided"), (a, b, c, p, ell, cap)
+            if expected == "undecided":
+                assert res.status == "undecided", (a, b, c, p, ell, cap)
+            else:
+                assert solvable_over_Ql(a, b, c, p, ell).status == expected, (a, b, c, p, ell)
+            if res.status != "undecided":
+                assert 1 <= res.levels_explored <= cap
             if res.status == "solvable":
                 assert check_witness(a, b, c, p, ell, res.witness)
             compared += 1
@@ -403,6 +541,50 @@ class TestSolvableOverQl:
                 kinds.add("ell^2 | coefficient")
         assert compared >= 800
         assert kinds == {"solvable", "unsolvable", "undecided", "p | abc", "ell^2 | coefficient"}
+
+    def test_agrees_with_image_engine(self):
+        # every case the old engine decides by level 4, over coefficients with
+        # valuations at and past p; its deeper levels cost up to a second a
+        # case at ell = 2, 3 and p
+        compared, kinds = 0, set()
+        for a, b, c, p, ell in seeded_bad_prime_cases(12, 400):
+            expected = _search((a, b, c), p, ell, min(4, default_depth_cap(a, b, c, p, ell)))
+            res = solvable_over_Ql(a, b, c, p, ell)
+            assert res.status != "undecided", (a, b, c, p, ell)
+            if res.status == "solvable":
+                assert check_witness(a, b, c, p, ell, res.witness), (a, b, c, p, ell)
+            if expected.status == "undecided":
+                continue
+            assert res.status == expected.status, (a, b, c, p, ell)
+            compared += 1
+            kinds.add(res.status)
+            kinds.add("ell = 2" if ell == 2 else "ell = p" if ell == p else "odd ell != p")
+            if (a * b * c) % p == 0:
+                kinds.add("p | abc")
+            if any(valuation(x, ell) >= 2 for x in (a, b, c)):
+                kinds.add("ell^2 | coefficient")
+            if any(valuation(x, ell) >= p for x in (a, b, c)):
+                kinds.add("v >= p")
+        assert compared >= 800
+        assert kinds == {
+            "solvable", "unsolvable", "ell = 2", "ell = p", "odd ell != p", "p | abc",
+            "ell^2 | coefficient", "v >= p",
+        }
+
+    def test_lifted_roots_against_brute_force(self):
+        # ell = 2, ell = p, p prime to ell - 1, p || ell - 1, and p^2 | ell - 1
+        # (roots mod ell by Adleman-Manders-Miller), every ell^level <= 10^4
+        pairs = [(3, 2), (3, 3), (3, 5), (3, 7), (3, 19), (5, 5), (5, 11), (5, 101), (7, 7), (7, 29), (13, 13)]
+        count = 0
+        for p, ell in pairs:
+            level = 2 if ell == p else 1
+            while ell**level <= 10**4:
+                modulus = ell**level
+                for w in {pow(x, p, modulus) for x in range(modulus) if x % ell}:
+                    assert pow(_lift_root(w, p, ell, level), p, modulus) == w, (w, p, ell, level)
+                    count += 1
+                level += 1
+        assert count > 10**4
 
     def test_valuation_heavy_case_is_fast(self):
         # (0 : 1 : -1) is a rational point; the survivor search took 27 s here
