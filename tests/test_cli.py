@@ -111,7 +111,7 @@ class TestLocal:
         witness = Witness(tuple(w["triple"]), w["level"], w["coordinate"], w["derivative_valuation"])
         assert check_witness(*map(int, eq.split(",")), int(p), int(p), witness)
 
-    def test_walk_past_the_image_bound_exit_1_at_once(self, capsys, schema):
+    def test_image_bound_exit_1_at_once(self, capsys, schema):
         # at ell = p = 1000003 no pair of 3, 4, 5 has a ratio in P, and the
         # walk over the p - 1 units t^p mod p^2 would pass IMAGE_BOUND
         started = time.perf_counter()
