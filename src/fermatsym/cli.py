@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 
 from . import curvedb, localobs, ntkernel, qrsolver
 from .curvedb import CurveDatabase, load_overrides
@@ -42,6 +43,9 @@ _DOMAIN_ERRORS = (
 
 OVERRIDES_ENV = "FERMATSYM_OVERRIDES"
 
+# the types json encodes as a scalar, whatever the indent
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
 EXIT_OK = 0
 EXIT_UNDECIDED = 1
 EXIT_ERROR = 2
@@ -68,10 +72,36 @@ def _database(args) -> CurveDatabase:
 
 
 def _emit(args, document: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(document, sort_keys=True, ensure_ascii=False, indent=2))
-    else:
-        print(text)
+    print(_json(document) if args.json else text)
+
+
+def _json(value, pad: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2), with
+    pad for its newlines, for a document with str keys.  json's C encoder
+    runs only without indent, so a container of scalars, or a list of such
+    dicts, is encoded by it with the indentation as the item separator; an
+    encoded string holds no raw newline, so the separators between the dicts
+    are found by a replace."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _dumps(value)
+    inner = pad + "  "
+    if _SCALARS.issuperset(map(type, value.values() if isinstance(value, dict) else value)):
+        body = _dumps(value, "," + inner)
+        return body[0] + inner + body[1:-1] + pad + body[-1]
+    if isinstance(value, dict):
+        items = ("," + inner).join(f"{_dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + items + pad + "}"
+    if set(map(type, value)) == {dict} and all(value):
+        if _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value)))):
+            deeper = inner + "  "
+            body = _dumps(value, "," + deeper)[2:-2]
+            body = body.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+            return "[" + inner + "{" + deeper + body + inner + "}" + pad + "]"
+    return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + pad + "]"
+
+
+def _dumps(value, separator: str = ",") -> str:
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(separator, ": "))
 
 
 def _classes_json(classes: qrsolver.CongruenceClassSet) -> dict:

@@ -8,9 +8,12 @@ Where the prime sits:
   find the points with a zero coordinate, and one per step of a walk over
   mu_k the others (chart x = 1), stopping at the first point.  The walk
   needs no factoring of k: it runs over the powers of t^p for t = 2, 3, ...
-  and drops each t whose powers return to 1 before k steps.  A p-th root
+  and drops each t whose powers return to 1 before k steps; a later t skips
+  the steps that land in the subgroup of a dropped t.  A p-th root
   is u^(1/p mod k), or, when p | k, Adleman-Manders-Miller's: one discrete
-  log in the Sylow p-subgroup, whatever the size of k.
+  log in the Sylow p-subgroup, whatever the size of k.  Outside the scan
+  the walk stops after IMAGE_BOUND steps in all, with "undecided"; the
+  scan needs no bound, as its k <= KMAX_BOUND < IMAGE_BOUND.
 * bad primes ell | p*a*b*c: exact, by valuation cases.  Write c_i =
   ell^V_i u_i and v_i = V_i mod p (scaling x_i by ell adds p to V_i).  P,
   the unit p-th powers of Z_ell, is read mod ell^kappa (kappa = 2 at
@@ -37,7 +40,9 @@ from .ntkernel import factor_small, is_prime, primes_in, valuation
 
 # The longest walk over unit p-th powers one call may start (mu_k in F_q*,
 # or the p - 1 units t^p mod p^2 at ell = p): past it a bad prime is
-# "undecided" at once, and solvable_mod_q_fast refuses q.
+# "undecided" at once, and solvable_mod_q_fast refuses q.  At a good prime
+# the walk over mu_k may be longer, so solvable_over_Ql stops it after this
+# many steps, summed over all t, with "undecided".
 IMAGE_BOUND = 200_000
 
 # The widest window [p_min, p_max), and largest sqrt(p_max), that sweep sieves.
@@ -49,6 +54,10 @@ KMAX_BOUND = 10**5
 
 class PreconditionError(Exception):
     pass
+
+
+class _WalkBudgetError(Exception):
+    """A good-prime walk passed its budget: the verdict is "undecided"."""
 
 
 @dataclass(frozen=True)
@@ -228,9 +237,10 @@ def _root(u: int, p: int, q: int) -> int:
     return pow(u, pow(p, -1, k), q) if k % p else _pth_root(u, p, q)
 
 
-def _level_one(coeffs, p: int, q: int) -> Witness | None:
+def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | None:
     """A checked level-1 witness at a prime q prime to p*a*b*c, or None when
-    there is no F_q point."""
+    there is no F_q point.  With a budget the chart walk takes at most that
+    many steps, summed over all t, and raises _WalkBudgetError past it."""
     k = (q - 1) // gcd(p, q - 1)
     # points with a zero coordinate: x_i^p = -c_j/c_i at x_j = 1, which is in
     # mu_k iff c_i^k = c_j^k, since -1 = (-1)^p is
@@ -241,19 +251,27 @@ def _level_one(coeffs, p: int, q: int) -> Witness | None:
             triple[i], triple[j] = _root(-coeffs[j] * pow(coeffs[i], -1, q) % q, p, q), 1
             return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
     # the chart x = 1: s = y^p runs over the powers of t^p for t = 2, 3, ...;
-    # a t whose powers return to 1 before k steps spans less than mu_k
+    # a t whose powers return to 1 after d < k steps spans the order-d
+    # subgroup of mu_k, so each later t skips its steps i with (k/d) | i
     a, b, c = coeffs
+    tested = bytearray(k if budget is None else min(k, budget))
     for t in itertools.count(2):
         w, s = pow(t, p, q), 1
-        for i in range(k):
+        for i, done in enumerate(tested):
             if s == 1 and i:
+                tested[:: k // i] = b"\1" * len(tested[:: k // i])
                 break  # t^p has order i < k: drop t
-            if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
+            if not done and pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
                 z = _root(-(a + b * s) * pow(c, -1, q) % q, p, q)
                 return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
             s = s * w % q
         else:
+            if len(tested) < k:
+                raise _WalkBudgetError(f"the walk over mu_{k} in F_{q}* passes its budget")
             return None
+        if budget is not None:
+            budget -= i
+            del tested[budget:]
 
 
 def _checked(coeffs, p: int, ell: int, witness: Witness) -> Witness:
@@ -283,7 +301,7 @@ def solvable_over_Ql(
 
     levels_explored is the level the verdict rests on: the witness level, or
     kappa + max v_ell(c_i) for "unsolvable" (1 at a good prime).  A verdict
-    past max_level is "undecided" instead."""
+    past max_level, or a walk past IMAGE_BOUND, is "undecided" instead."""
     _check_exponent(p)
     if ell < 2 or not is_prime(ell):
         raise PreconditionError(f"{ell} is not prime")
@@ -292,7 +310,10 @@ def solvable_over_Ql(
     if max_level is not None and max_level < 1:
         raise PreconditionError(f"max_level must be at least 1, got {max_level}")
     if (p * a * b * c) % ell:
-        witness = _level_one((a, b, c), p, ell)
+        try:
+            witness = _level_one((a, b, c), p, ell, IMAGE_BOUND)
+        except _WalkBudgetError:
+            return LocalResult("undecided", ell)
         return LocalResult("solvable" if witness else "unsolvable", ell, witness, 1)
     return _bad_prime((a, b, c), p, ell, max_level)
 
@@ -331,10 +352,10 @@ def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int
     """(q, k) for the first q = kp + 1 (k even, k <= k_max) prime to abc that
     has no F_q point, or (None, None).  The scan stops at the Weil
     cutoff, above which no q can fail."""
-    cutoff = weil_cutoff(p)
+    cutoff, abc = weil_cutoff(p), a * b * c
     for k in range(2, k_max + 1, 2):
         q = k * p + 1
-        if not is_prime(q) or (a * b * c) % q == 0:
+        if not is_prime(q) or abc % q == 0:
             continue
         if q > cutoff:
             break

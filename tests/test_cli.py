@@ -7,6 +7,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fermatsym import cli
 from fermatsym.localobs import KMAX_BOUND, Witness, check_witness
@@ -137,6 +139,18 @@ class TestLocal:
         witness = Witness(tuple(w["triple"]), w["level"], w["coordinate"], w["derivative_valuation"])
         assert witness.level == 1
         assert check_witness(1, 1, 2, 3, 600011, witness)
+
+    def test_good_prime_walk_past_the_image_bound_exit_1(self, capsys, schema):
+        # ell = 58 p^2 + 1 and no point has a zero coordinate; a chart step
+        # hits with chance about 1/p, so the walk stops after IMAGE_BOUND
+        # steps, each one pow with a 30-bit exponent mod the 53-bit ell
+        started = time.perf_counter()
+        code, doc, _ = run_json(
+            capsys, schema, "local", "--eq", "3,4,5", "--p", "10000019", "--ell", "5800022040020939"
+        )
+        assert time.perf_counter() - started < 10
+        assert code == 1
+        assert doc["status"] == "undecided"
 
     @pytest.mark.parametrize(
         "ell",
@@ -382,6 +396,48 @@ class TestOverridesPlumbing:
     def test_missing_override_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "curve", "168a1", "--overrides", "/nonexistent/zzz")
         assert code == 2
+
+
+# strings with the characters the writer's separators are made of
+TEXT = st.lists(st.sampled_from(["\n", '"', "\\", "},", "}", "{", ",", " ", "a", "é", "∞"]), max_size=4).map(
+    "".join
+)
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**200) | TEXT
+)
+FLAT_DICT_LISTS = st.lists(st.dictionaries(TEXT, SCALARS, min_size=1, max_size=3), min_size=1, max_size=3)
+DOCUMENTS = st.recursive(
+    SCALARS | FLAT_DICT_LISTS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
+    max_leaves=12,
+)
+
+
+def reference_json(document) -> str:
+    return json.dumps(document, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+class TestJsonWriter:
+    @given(DOCUMENTS)
+    def test_matches_json_dumps_with_indent(self, document):
+        assert cli._json(document) == reference_json(document)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--eq", "3,8,21"),
+            ("local", "--eq", "3,4,5", "--p", "3", "--ell", "3"),
+            ("local", "--eq", "3,4,5", "--p", "5", "--ell", "11"),
+            ("obstruct", "--eq", "3,4,5", "--p", "1000003", "--kmax", "2"),
+            ("sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "60"),
+            ("density", "(-2)=-1 & (2)=-1"),
+            ("curve", "168a1"),
+        ],
+    )
+    def test_every_command_prints_the_json_dumps_bytes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code in (0, 1)
+        assert out == reference_json(json.loads(out)) + "\n"
 
 
 class TestSchemaIsDiscriminating:

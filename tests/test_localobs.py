@@ -14,9 +14,11 @@ from fermatsym.localobs import (
     PreconditionError,
     Witness,
     _checked,
+    _WalkBudgetError,
     _level_one,
     _lift_root,
     _pth_root,
+    _root,
     _scan_q,
     bad_primes,
     check_witness,
@@ -87,6 +89,30 @@ def reference_mod_q(a, b, c, p, q):
             if need in c_vals:
                 return True
     return False
+
+
+def reference_level_one(coeffs, p, q):
+    # the chart walk that tests each t from its first step, also where t^p
+    # lies in the subgroup of a t dropped before it
+    k = (q - 1) // gcd(p, q - 1)
+    powers = [pow(n, k, q) for n in coeffs]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if powers[i] == powers[j]:
+            triple = [0, 0, 0]
+            triple[i], triple[j] = _root(-coeffs[j] * pow(coeffs[i], -1, q) % q, p, q), 1
+            return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
+    a, b, c = coeffs
+    for t in range(2, q):
+        w, s = pow(t, p, q), 1
+        for i in range(k):
+            if s == 1 and i:
+                break
+            if pow(a + b * s, k, q) == powers[2]:
+                z = _root(-(a + b * s) * pow(c, -1, q) % q, p, q)
+                return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
+            s = s * w % q
+        else:
+            return None
 
 
 def reference_form(coeffs, triple, p, modulus):
@@ -378,6 +404,33 @@ class TestSolvableModQFast:
         witness = _level_one((1, 3, 2), 3, 7)
         assert witness == Witness((1, 3, 1), 1, 0, 0)
         assert projective_points_exist(1, 3, 2, 3, 7)
+
+    def test_walk_agrees_with_the_walk_that_retests_subgroups(self):
+        # same verdict, and the same first hit with the same witness triple
+        rng = random.Random(10)
+        for _ in range(40):
+            a, b, c = (rng.randint(1, 60) * rng.choice((1, -1)) for _ in range(3))
+            for p in (3, 5, 7, 11, 13):
+                for q in primes_in(3, 3000):
+                    if q % p == 1 and (p * a * b * c) % q:
+                        assert _level_one((a, b, c), p, q) == reference_level_one((a, b, c), p, q), (
+                            a, b, c, p, q,
+                        )
+
+    def test_walk_skips_the_subgroups_of_every_dropped_t(self):
+        # at q = 73, p = 3 (k = 24) the walks from t = 2, 3, 4 close after 3,
+        # 4 and 3 steps, so t = 5 skips its steps 0 mod 8 and 0 mod 6
+        k = 24
+        orders = [next(d for d in range(1, k + 1) if pow(t, 3 * d, 73) == 1) for t in (2, 3, 4, 5)]
+        assert orders == [3, 4, 3, k]
+        witness = _level_one((1, 2, 4), 3, 73)
+        assert witness == reference_level_one((1, 2, 4), 3, 73) == Witness((1, 5, 71), 1, 0, 0)
+
+    def test_walk_budget_counts_the_steps_of_every_t(self):
+        # the walk above takes 3 + 4 + 3 steps before t = 5 hits at its step 1
+        assert _level_one((1, 2, 4), 3, 73, budget=12) == Witness((1, 5, 71), 1, 0, 0)
+        with pytest.raises(_WalkBudgetError):
+            _level_one((1, 2, 4), 3, 73, budget=11)
 
     def test_good_primes_do_not_factor(self, monkeypatch):
         def refuse(n, *args):

@@ -166,6 +166,7 @@ class TestIsPrime:
     def test_prime_sieve_consistency(self):
         assert prime_sieve(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_in(10, 30) == [11, 13, 17, 19, 23, 29]
+        assert [n for n in range(2000) if is_prime(n)] == primes_in(0, 2000)
 
     def test_agrees_with_all_13_witnesses_in_every_band(self):
         for n in band_samples(seed=1):
