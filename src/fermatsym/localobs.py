@@ -8,12 +8,12 @@ Where the prime sits:
   find the points with a zero coordinate, and one per step of a walk over
   mu_k the others (chart x = 1), stopping at the first point.  The walk
   needs no factoring of k: it runs over the powers of t^p for t = 2, 3, ...
-  and drops each t whose powers return to 1 before k steps; a later t skips
-  the steps that land in the subgroup of a dropped t.  A p-th root
+  and drops each t whose powers return to 1 before k steps.  A p-th root
   is u^(1/p mod k), or, when p | k, Adleman-Manders-Miller's: one discrete
-  log in the Sylow p-subgroup, whatever the size of k.  Outside the scan
-  the walk stops after IMAGE_BOUND steps in all, with "undecided"; the
-  scan needs no bound, as its k <= KMAX_BOUND < IMAGE_BOUND.
+  log in the Sylow p-subgroup, whatever the size of k.  Outside the scan,
+  a walk over a mu_k larger than IMAGE_BOUND stops after IMAGE_BOUND
+  steps in all, with "undecided"; the scan needs no bound, as its
+  k <= KMAX_BOUND < IMAGE_BOUND.
 * bad primes ell | p*a*b*c: exact, by valuation cases.  Write c_i =
   ell^V_i u_i and v_i = V_i mod p (scaling x_i by ell adds p to V_i).  P,
   the unit p-th powers of Z_ell, is read mod ell^kappa (kappa = 2 at
@@ -41,8 +41,8 @@ from .ntkernel import factor_small, is_prime, primes_in, valuation
 # The longest walk over unit p-th powers one call may start (mu_k in F_q*,
 # or the p - 1 units t^p mod p^2 at ell = p): past it a bad prime is
 # "undecided" at once, and solvable_mod_q_fast refuses q.  At a good prime
-# the walk over mu_k may be longer, so solvable_over_Ql stops it after this
-# many steps, summed over all t, with "undecided".
+# ell, solvable_over_Ql lets a walk over more than this many p-th powers
+# take this many steps, summed over all t, then answers "undecided".
 IMAGE_BOUND = 200_000
 
 # The widest window [p_min, p_max), and largest sqrt(p_max), that sweep sieves.
@@ -251,27 +251,23 @@ def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | N
             triple[i], triple[j] = _root(-coeffs[j] * pow(coeffs[i], -1, q) % q, p, q), 1
             return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
     # the chart x = 1: s = y^p runs over the powers of t^p for t = 2, 3, ...;
-    # a t whose powers return to 1 after d < k steps spans the order-d
-    # subgroup of mu_k, so each later t skips its steps i with (k/d) | i
+    # a t whose powers return to 1 before k steps spans less than mu_k
     a, b, c = coeffs
-    tested = bytearray(k if budget is None else min(k, budget))
     for t in itertools.count(2):
         w, s = pow(t, p, q), 1
-        for i, done in enumerate(tested):
+        for i in range(k if budget is None else min(k, budget)):
             if s == 1 and i:
-                tested[:: k // i] = b"\1" * len(tested[:: k // i])
                 break  # t^p has order i < k: drop t
-            if not done and pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
+            if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
                 z = _root(-(a + b * s) * pow(c, -1, q) % q, p, q)
                 return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
             s = s * w % q
         else:
-            if len(tested) < k:
+            if budget is not None and budget < k:
                 raise _WalkBudgetError(f"the walk over mu_{k} in F_{q}* passes its budget")
             return None
         if budget is not None:
             budget -= i
-            del tested[budget:]
 
 
 def _checked(coeffs, p: int, ell: int, witness: Witness) -> Witness:
@@ -310,8 +306,9 @@ def solvable_over_Ql(
     if max_level is not None and max_level < 1:
         raise PreconditionError(f"max_level must be at least 1, got {max_level}")
     if (p * a * b * c) % ell:
+        budget = IMAGE_BOUND if (ell - 1) // p > IMAGE_BOUND else None
         try:
-            witness = _level_one((a, b, c), p, ell, IMAGE_BOUND)
+            witness = _level_one((a, b, c), p, ell, budget)
         except _WalkBudgetError:
             return LocalResult("undecided", ell)
         return LocalResult("solvable" if witness else "unsolvable", ell, witness, 1)

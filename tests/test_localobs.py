@@ -92,8 +92,7 @@ def reference_mod_q(a, b, c, p, q):
 
 
 def reference_level_one(coeffs, p, q):
-    # the chart walk that tests each t from its first step, also where t^p
-    # lies in the subgroup of a t dropped before it
+    # the chart walk without a budget, kept as it stood before the budget
     k = (q - 1) // gcd(p, q - 1)
     powers = [pow(n, k, q) for n in coeffs]
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -405,7 +404,7 @@ class TestSolvableModQFast:
         assert witness == Witness((1, 3, 1), 1, 0, 0)
         assert projective_points_exist(1, 3, 2, 3, 7)
 
-    def test_walk_agrees_with_the_walk_that_retests_subgroups(self):
+    def test_walk_agrees_with_the_reference_walk(self):
         # same verdict, and the same first hit with the same witness triple
         rng = random.Random(10)
         for _ in range(40):
@@ -417,9 +416,9 @@ class TestSolvableModQFast:
                             a, b, c, p, q,
                         )
 
-    def test_walk_skips_the_subgroups_of_every_dropped_t(self):
+    def test_walk_drops_three_t_before_its_hit(self):
         # at q = 73, p = 3 (k = 24) the walks from t = 2, 3, 4 close after 3,
-        # 4 and 3 steps, so t = 5 skips its steps 0 mod 8 and 0 mod 6
+        # 4 and 3 steps, and t = 5 hits at its step 1
         k = 24
         orders = [next(d for d in range(1, k + 1) if pow(t, 3 * d, 73) == 1) for t in (2, 3, 4, 5)]
         assert orders == [3, 4, 3, k]
@@ -431,6 +430,17 @@ class TestSolvableModQFast:
         assert _level_one((1, 2, 4), 3, 73, budget=12) == Witness((1, 5, 71), 1, 0, 0)
         with pytest.raises(_WalkBudgetError):
             _level_one((1, 2, 4), 3, 73, budget=11)
+
+    def test_image_bound_caps_only_walks_over_more_powers(self, monkeypatch):
+        # at q = 43, p = 7 (k = 6) t = 2 closes after 2 steps and there is no
+        # point, so the walk takes more than k steps in all; it is stopped
+        # only when mu_k has more than IMAGE_BOUND elements
+        assert pow(2, 7 * 2, 43) == 1
+        assert reference_level_one((1, 3, 5), 7, 43) is None
+        monkeypatch.setattr("fermatsym.localobs.IMAGE_BOUND", 6)
+        assert solvable_over_Ql(1, 3, 5, 7, 43).status == "unsolvable"
+        monkeypatch.setattr("fermatsym.localobs.IMAGE_BOUND", 5)
+        assert solvable_over_Ql(1, 3, 5, 7, 43).status == "undecided"
 
     def test_good_primes_do_not_factor(self, monkeypatch):
         def refuse(n, *args):
