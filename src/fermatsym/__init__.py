@@ -8,8 +8,7 @@ The library reproduces two kinds of results about a x^p + b y^p + c z^p = 0:
   through symplectic criteria (``freypipe``);
 * local obstructions: primes ell at which the equation has no Q_ell points,
   decided by membership tests in the p-th powers of F_ell* at good primes
-  and by a search over images of x -> x^p with Hensel certificates at bad
-  primes (``localobs``).
+  and by valuation cases at bad primes (``localobs``).
 
 See the README for the CLI and file formats.
 """

@@ -265,8 +265,10 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs != 1:
+        raise CliError(f"--jobs takes only 1 (sweep runs in one process), got {args.jobs}")
     a, b, c = _parse_equation(args.eq)
-    entries = localobs.sweep(a, b, c, args.pmin, args.pmax, args.kmax, args.jobs)
+    entries = localobs.sweep(a, b, c, args.pmin, args.pmax, args.kmax)
     doc = {
         "command": "sweep",
         "equation": [a, b, c],
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmin", required=True, type=int)
     p.add_argument("--pmax", required=True, type=int)
     p.add_argument("--kmax", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="only 1 is accepted (default 1)")
     add_common(p)
     p.set_defaults(func=cmd_sweep)
 

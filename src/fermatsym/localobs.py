@@ -31,7 +31,6 @@ Where the prime sits:
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -240,7 +239,8 @@ def _root(u: int, p: int, q: int) -> int:
 def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | None:
     """A checked level-1 witness at a prime q prime to p*a*b*c, or None when
     there is no F_q point.  With a budget the chart walk takes at most that
-    many steps, summed over all t, and raises _WalkBudgetError past it."""
+    many steps, summed over all t, and raises _WalkBudgetError past it; a
+    budget is passed only below k, and only goes down, so it always binds."""
     k = (q - 1) // gcd(p, q - 1)
     # points with a zero coordinate: x_i^p = -c_j/c_i at x_j = 1, which is in
     # mu_k iff c_i^k = c_j^k, since -1 = (-1)^p is
@@ -255,7 +255,7 @@ def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | N
     a, b, c = coeffs
     for t in itertools.count(2):
         w, s = pow(t, p, q), 1
-        for i in range(k if budget is None else min(k, budget)):
+        for i in range(k if budget is None else budget):
             if s == 1 and i:
                 break  # t^p has order i < k: drop t
             if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
@@ -263,7 +263,7 @@ def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | N
                 return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
             s = s * w % q
         else:
-            if budget is not None and budget < k:
+            if budget is not None:
                 raise _WalkBudgetError(f"the walk over mu_{k} in F_{q}* passes its budget")
             return None
         if budget is not None:
@@ -361,35 +361,22 @@ def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int
     return None, None
 
 
-def _sweep_one(args) -> SweepEntry:
-    a, b, c, p, k_max = args
-    started = time.monotonic_ns()
-    q, k = _scan_q(a, b, c, p, k_max)
-    elapsed_ms = (time.monotonic_ns() - started) // 1_000_000
-    return SweepEntry(p, q, k, elapsed_ms)
-
-
-def sweep(
-    a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200, jobs: int = 1
-) -> list[SweepEntry]:
+def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> list[SweepEntry]:
     """First obstruction prime of the form kp + 1 for each prime p in range.
 
     Only the F_q test at q = kp + 1 is used here (the fast mode matching the
     large-exponent claims); per-prime Q_ell analysis is has_local_obstruction's
-    job.  Deterministic for fixed k_max, including under parallel execution.
+    job.  Deterministic for fixed k_max.
     """
     _check_k_max(k_max)
-    if jobs < 1:
-        raise PreconditionError(f"jobs must be at least 1, got {jobs}")
     if p_min > p_max:
         raise PreconditionError(f"p_min {p_min} is above p_max {p_max}")
     if p_max - p_min > SWEEP_BOUND or p_max > SWEEP_BOUND**2:
         raise PreconditionError(f"[{p_min}, {p_max}) is wider than SWEEP_BOUND or ends past its square")
-    tasks = [(a, b, c, p, k_max) for p in primes_in(p_min, p_max) if p > 2]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers <= 1:
-        return [_sweep_one(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # its import costs 2 MB; only a pool pays it
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, tasks, chunksize=16))
+    entries = []
+    for p in primes_in(p_min, p_max):
+        if p > 2:
+            started = time.monotonic_ns()
+            q, k = _scan_q(a, b, c, p, k_max)
+            entries.append(SweepEntry(p, q, k, (time.monotonic_ns() - started) // 1_000_000))
+    return entries

@@ -107,11 +107,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_sieve(limit: int) -> list[int]:
-    """All primes below ``limit`` by Eratosthenes."""
-    return primes_in(2, limit)
-
-
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p < hi: a sieve of hi - lo bytes by the primes up to
     sqrt(hi), or is_prime on each n when the window is narrower than (about)
@@ -123,13 +118,13 @@ def primes_in(lo: int, hi: int) -> list[int]:
     if hi - lo < root // root.bit_length():  # root / log2(root) is about 0.7 pi(root)
         return [n for n in range(lo, hi) if is_prime(n)]
     flags = bytearray([1]) * (hi - lo)
-    for r in prime_sieve(root + 1):
+    for r in primes_in(2, root + 1):
         start = max(r * r, -(-lo // r) * r) - lo
         flags[start::r] = bytearray(len(range(start, hi - lo, r)))
     return list(compress(range(lo, hi), flags))
 
 
-_TRIAL_PRIMES = frozenset(prime_sieve(_TRIAL_LIMIT))  # 168 primes: a 1000-byte sieve
+_TRIAL_PRIMES = frozenset(primes_in(2, _TRIAL_LIMIT))  # 168 primes: a 1000-byte sieve
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import subprocess
 import sys
 import time
@@ -283,18 +284,19 @@ class TestSweep:
         _, doc2, _ = run_json(capsys, schema, "sweep", "--eq", "3,8,21", "--pmin", "11", "--pmax", "60")
         assert strip_elapsed(doc1) == strip_elapsed(doc2)
 
-    def test_parallel_jobs_match_serial(self, capsys, schema):
-        _, serial, _ = run_json(capsys, schema, "sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "60")
-        _, parallel, _ = run_json(
-            capsys, schema, "sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "60", "--jobs", "2"
-        )
-        assert strip_elapsed(serial) == strip_elapsed(parallel)
+    def test_jobs_1_prints_the_same_bytes(self, capsys):
+        argv = ("sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "60", "--json")
+        plain = run_cli(capsys, *argv)
+        jobs_1 = run_cli(capsys, *argv, "--jobs", "1")
+        elapsed = re.compile(r'"elapsed_ms": \d+')
+        assert elapsed.search(plain[1])
+        assert (jobs_1[0], elapsed.sub("", jobs_1[1])) == (plain[0], elapsed.sub("", plain[1]))
 
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--jobs", "0"), ("--jobs", "-1"), ("--kmax", "1"), ("--kmax", str(KMAX_BOUND + 1)),
-            ("--pmin", "41"), ("--pmax", "10"),
+            ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "2"),
+            ("--kmax", "1"), ("--kmax", str(KMAX_BOUND + 1)), ("--pmin", "41"), ("--pmax", "10"),
         ],
     )
     def test_bad_input_exit_2(self, capsys, flag, value):

@@ -1,5 +1,4 @@
 import functools
-import os
 import random
 import time
 from math import gcd
@@ -778,15 +777,10 @@ class TestSweep:
         b = [(e.p, e.obstruction, e.k) for e in sweep(3, 4, 5, 11, 60)]
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        serial = [(e.p, e.obstruction, e.k) for e in sweep(3, 8, 21, 11, 80)]
-        parallel = [(e.p, e.obstruction, e.k) for e in sweep(3, 8, 21, 11, 80, jobs=2)]
-        assert serial == parallel
-
-    def test_rejects_bad_k_max_and_jobs(self):
-        for k_max, jobs in ((1, 1), (KMAX_BOUND + 1, 1), (200, 0), (200, -1)):
+    def test_rejects_bad_k_max(self):
+        for k_max in (1, KMAX_BOUND + 1):
             with pytest.raises(PreconditionError):
-                sweep(3, 4, 5, 11, 40, k_max, jobs)
+                sweep(3, 4, 5, 11, 40, k_max)
 
     def test_rejects_reversed_window(self):
         with pytest.raises(PreconditionError):
@@ -810,34 +804,6 @@ class TestSweep:
             (99999999999971, 799999999999769, 8),
             (99999999999973, 2199999999999407, 22),
         ]
-
-    def test_jobs_clamped_to_cpus_and_tasks(self, monkeypatch):
-        import concurrent.futures
-
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        serial = [(e.p, e.obstruction, e.k) for e in sweep(3, 4, 5, 11, 40)]
-        pooled = [(e.p, e.obstruction, e.k) for e in sweep(3, 4, 5, 11, 40, jobs=64)]
-        assert pooled == serial
-        sweep(3, 4, 5, 11, 18, jobs=64)  # three primes: 11, 13, 17
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        sweep(3, 4, 5, 11, 40, jobs=64)  # unknown CPU count: serial
-        assert seen == [4, 3]
 
 
 class TestUnitPowers:

@@ -10,7 +10,6 @@ from fermatsym.ntkernel import (
     factor_small,
     is_prime,
     jacobi,
-    prime_sieve,
     primes_in,
     squarefree_part,
     valuation,
@@ -164,7 +163,7 @@ class TestIsPrime:
             assert is_prime(n) == bool(flags[n]), n
 
     def test_prime_sieve_consistency(self):
-        assert prime_sieve(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert primes_in(2, 30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_in(10, 30) == [11, 13, 17, 19, 23, 29]
         assert [n for n in range(2000) if is_prime(n)] == primes_in(0, 2000)
 
@@ -224,9 +223,9 @@ class TestPrimesIn:
             for hi in edges:
                 assert primes_in(lo, hi) == reference_primes_in(lo, hi), (lo, hi)
 
-    def test_prime_sieve_is_primes_from_2(self):
+    def test_windows_from_2(self):
         for limit in range(-2, 200):
-            assert prime_sieve(limit) == reference_primes_in(2, limit), limit
+            assert primes_in(2, limit) == reference_primes_in(2, limit), limit
 
     def test_narrow_windows_test_each_number(self):
         # windows narrower than about pi(sqrt(hi)) skip the sieve; a wide
