@@ -5,23 +5,22 @@ Where the prime sits:
 * good primes ell prime to p*a*b*c, among them every q = kp + 1 of the
   scan: every F_ell point lifts to Q_ell (smoothness), so level 1 decides.
   The p-th powers in F_ell* are mu_k, so membership is one pow test: three
-  find the points with a zero coordinate, and one per step of a walk over
-  mu_k the others (chart x = 1), stopping at the first point.  The walk
-  needs no factoring of k: it runs over the powers of t^p for t = 2, 3, ...
-  and drops each t whose powers return to 1 before k steps.  A p-th root
-  is u^(1/p mod k), or, when p | k, Adleman-Manders-Miller's: one discrete
-  log in the Sylow p-subgroup, whatever the size of k.  Outside the scan,
-  a walk over a mu_k larger than IMAGE_BOUND stops after IMAGE_BOUND
-  steps in all, with "undecided"; the scan needs no bound, as its
-  k <= KMAX_BOUND < IMAGE_BOUND.
+  find the points with a zero coordinate.  The others (chart x = 1) come from
+  a walk over the powers of t^p for t = 2, 3, ..., which drops each t whose
+  powers return to 1 before k steps, so k is never factored.  About k/p chart
+  points exist, so where k < p (most q of the scan) one set test over mu_k,
+  built by those products, decides, with set lookups only if there is a
+  point; elsewhere, local included, each step is one pow test (local stops
+  past IMAGE_BOUND steps).  A p-th root is u^(1/p mod k), or, when p | k,
+  Adleman-Manders-Miller's: one discrete log in the Sylow p-subgroup.
 * bad primes ell | p*a*b*c: exact, by valuation cases.  Write c_i =
   ell^V_i u_i and v_i = V_i mod p (scaling x_i by ell adds p to V_i).  P,
   the unit p-th powers of Z_ell, is read mod ell^kappa (kappa = 2 at
   ell = p, else 1) by one pow.  A point exists iff (1) some v_i = v_j with
   -u_j/u_i in P, (2) ell = p, v_i = v_j and v_k = v_i + 1 mod p, or (3) all
-  v_i agree and the unit equation has a point mod ell^kappa (at ell = p a
-  walk over the p - 1 units t^p mod p^2).  Only a walk past IMAGE_BOUND, or
-  a depth cap, gives "undecided".
+  v_i agree and the unit equation has a point mod ell^kappa (at ell = p by
+  one set test over the p - 1 units t^p mod p^2, built the same way).  Only
+  a mu_k past IMAGE_BOUND, or a depth cap, gives "undecided".
 * large good primes: a smooth plane curve of genus (p-1)(p-2)/2 over F_q
   has points once q + 1 > (p-1)(p-2)*sqrt(q), so primes above the cutoff
   ((p-1)(p-2))^2 can never obstruct, which turns "no obstruction" into a
@@ -37,11 +36,10 @@ from math import gcd, isqrt
 
 from .ntkernel import factor_small, is_prime, primes_in, valuation
 
-# The longest walk over unit p-th powers one call may start (mu_k in F_q*,
-# or the p - 1 units t^p mod p^2 at ell = p): past it a bad prime is
-# "undecided" at once, and solvable_mod_q_fast refuses q.  At a good prime
-# ell, solvable_over_Ql lets a walk over more than this many p-th powers
-# take this many steps, summed over all t, then answers "undecided".
+# The most unit p-th powers (mu_k in F_q*, or the p - 1 units t^p mod p^2 at
+# ell = p) one call may walk or build: past it a bad prime is "undecided" at
+# once and solvable_mod_q_fast refuses q, and at a good prime local's walk
+# stops after this many steps, summed over all t, with "undecided".
 IMAGE_BOUND = 200_000
 
 # The widest window [p_min, p_max), and largest sqrt(p_max), that sweep sieves.
@@ -158,13 +156,10 @@ def _bad_prime(coeffs, p: int, ell: int, max_level: int | None) -> LocalResult:
         if ell != p:
             point = _level_one(units, p, ell)
             found = [witness(point.triple)] if point else []
-        else:  # y^p = t^p runs over mu_(p-1) mod p^2, and z^p = z for z in P
-            inverse = pow(units[2], -1, mod)
-            for t in range(1, p):
-                z = -(units[0] + units[1] * pow(t, p, mod)) * inverse % mod
-                if z % p and pow(z, k, mod) == 1:
-                    found = [witness((1, t, z))]
-                    break
+        else:  # y^p = t^p runs over mu_(p-1) mod p^2, t^p = t mod p, and z^p = z for z in P
+            inverse, P = pow(-units[2], -1, mod), _mu(p, mod, k)
+            hits = sorted((s % p, z) for s in P if (z := (units[0] + units[1] * s) * inverse % mod) in P)
+            found = [witness((1, *hits[0]))] if hits else []
     best = min(found, key=lambda w: w.level, default=None)
     level = best.level if best else kappa + max(vals)
     if max_level is not None and level > max_level:
@@ -201,7 +196,7 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
         raise PreconditionError(f"{q} divides p*a*b*c")
     if (q - 1) // p > IMAGE_BOUND:
         raise PreconditionError(f"the {(q - 1) // p} p-th powers in F_{q}* pass IMAGE_BOUND")
-    return _level_one((a, b, c), p, q) is not None
+    return _scan_point((a, b, c), p, q) is not None
 
 
 def _pth_root(u: int, p: int, q: int) -> int:
@@ -236,11 +231,35 @@ def _root(u: int, p: int, q: int) -> int:
     return pow(u, pow(p, -1, k), q) if k % p else _pth_root(u, p, q)
 
 
+def _chart(p: int, q: int, k: int):
+    """(t, i, s = t^(p i) mod q) in walk order, over the powers of t^p for t = 2, 3, ...:
+    a t whose powers return to 1 before k steps is dropped, and one that spans mu_k ends it."""
+    for t in itertools.count(2):
+        w, s, i = pow(t, p, q), 1, 0
+        while s != 1 or not i:
+            yield t, i, s
+            s, i = s * w % q, i + 1
+        if i == k:
+            return
+
+
+def _mu(p: int, q: int, k: int) -> set[int]:
+    """mu_k mod q, built by products: the powers of the t^p that ends _chart."""
+    for t in itertools.count(2):
+        mu, w = {1}, pow(t, p, q)
+        s = w
+        while s != 1:
+            mu.add(s)
+            s = s * w % q
+        if len(mu) == k:
+            return mu
+
+
 def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | None:
     """A checked level-1 witness at a prime q prime to p*a*b*c, or None when
-    there is no F_q point.  With a budget the chart walk takes at most that
-    many steps, summed over all t, and raises _WalkBudgetError past it; a
-    budget is passed only below k, and only goes down, so it always binds."""
+    there is no F_q point, by pow tests: three for a zero coordinate, then one
+    per step of _chart.  With a budget the walk takes at most that many steps,
+    summed over all t, and raises _WalkBudgetError past it."""
     k = (q - 1) // gcd(p, q - 1)
     # points with a zero coordinate: x_i^p = -c_j/c_i at x_j = 1, which is in
     # mu_k iff c_i^k = c_j^k, since -1 = (-1)^p is
@@ -250,24 +269,30 @@ def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | N
             triple = [0, 0, 0]
             triple[i], triple[j] = _root(-coeffs[j] * pow(coeffs[i], -1, q) % q, p, q), 1
             return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
-    # the chart x = 1: s = y^p runs over the powers of t^p for t = 2, 3, ...;
-    # a t whose powers return to 1 before k steps spans less than mu_k
     a, b, c = coeffs
-    for t in itertools.count(2):
-        w, s = pow(t, p, q), 1
-        for i in range(k if budget is None else budget):
-            if s == 1 and i:
-                break  # t^p has order i < k: drop t
-            if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
-                z = _root(-(a + b * s) * pow(c, -1, q) % q, p, q)
-                return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
-            s = s * w % q
-        else:
-            if budget is not None:
-                raise _WalkBudgetError(f"the walk over mu_{k} in F_{q}* passes its budget")
-            return None
-        if budget is not None:
-            budget -= i
+    for step, (t, i, s) in enumerate(_chart(p, q, k)):
+        if step == budget:
+            raise _WalkBudgetError(f"the walk over mu_{k} in F_{q}* passes its budget")
+        if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
+            z = _root(-(a + b * s) * pow(c, -1, q) % q, p, q)
+            return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
+    return None
+
+
+def _scan_point(coeffs, p: int, q: int) -> Witness | None:
+    """_level_one(coeffs, p, q) at q = kp + 1.  About k/p of the k chart steps
+    hit, so at k < p "no point" is usual and sets decide it: with a1 = a/c and
+    b1 = b/c there is a point at s iff a1 + b1 s is in mu_k (-1 is), so one
+    isdisjoint at C speed finds "no point"; else _chart runs, by lookups."""
+    k = (q - 1) // p
+    if k >= p or len({pow(n, k, q) for n in coeffs}) < 3:  # or a point with a zero coordinate
+        return _level_one(coeffs, p, q)
+    mu, inverse = _mu(p, q, k), pow(coeffs[2], -1, q)
+    a1, b1 = coeffs[0] * inverse % q, coeffs[1] * inverse % q
+    if mu.isdisjoint([(a1 + b1 * s) % q for s in mu]):
+        return None
+    t, i, s = next(step for step in _chart(p, q, k) if (a1 + b1 * step[2]) % q in mu)
+    return _checked(coeffs, p, q, Witness((1, pow(t, i, q), _root(-(a1 + b1 * s) % q, p, q)), 1, 0, 0))
 
 
 def _checked(coeffs, p: int, ell: int, witness: Witness) -> Witness:
@@ -356,7 +381,7 @@ def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int
             continue
         if q > cutoff:
             break
-        if _level_one((a, b, c), p, q) is None:
+        if _scan_point((a, b, c), p, q) is None:
             return q, k
     return None, None
 

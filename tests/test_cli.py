@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -113,6 +114,27 @@ class TestLocal:
         w = doc["witness"]
         witness = Witness(tuple(w["triple"]), w["level"], w["coordinate"], w["derivative_valuation"])
         assert check_witness(*map(int, eq.split(",")), int(p), int(p), witness)
+
+    def test_ell_equal_p_unsolvable_at_once(self, capsys, schema):
+        # rule 3 tests all p - 1 units t^p mod p^2, and none gives a point
+        started = time.perf_counter()
+        code, doc, _ = run_json(capsys, schema, "local", "--eq", "3,4,5", "--p", "100003", "--ell", "100003")
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert doc == {
+            "command": "local", "ell": 100003, "equation": [3, 4, 5], "method": "hensel_descent",
+            "p": 100003, "status": "unsolvable", "witness": None,
+        }
+
+    def test_good_prime_keeps_the_first_point_of_the_walk(self, capsys, schema):
+        # k = 199 032 p-th powers, and the walk's first point comes early
+        started = time.perf_counter()
+        code, doc, _ = run_json(capsys, schema, "local", "--eq", "3,4,5", "--p", "101", "--ell", "20102233")
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert doc["witness"] == {
+            "coordinate": 0, "derivative_valuation": 0, "level": 1, "triple": [1, 5229841, 17368361],
+        }
 
     def test_image_bound_exit_1_at_once(self, capsys, schema):
         # at ell = p = 1000003 no pair of 3, 4, 5 has a ratio in P, and the
@@ -291,6 +313,20 @@ class TestSweep:
         elapsed = re.compile(r'"elapsed_ms": \d+')
         assert elapsed.search(plain[1])
         assert (jobs_1[0], elapsed.sub("", jobs_1[1])) == (plain[0], elapsed.sub("", plain[1]))
+
+    @pytest.mark.parametrize(
+        "eq, digest",
+        [
+            ("3,4,5", "1b3460848c29f102d0a494967c30111f4a873e6f491b88490720f3e6126ed38b"),
+            ("3,8,21", "81c1570988ab9b6fc9a5febdc7dfd24dc5f84762000e18284ce899fbb8c0bf6e"),
+        ],
+    )
+    def test_json_bytes_are_pinned(self, capsys, eq, digest):
+        # every (p, q, k) of a 2 000-exponent window; a change to any entry fails here
+        code, out, _ = run_cli(capsys, "sweep", "--eq=" + eq, "--pmin", "11", "--pmax", "20000", "--json")
+        assert code == 0
+        masked = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+        assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -1,7 +1,8 @@
 import functools
 import random
 import time
-from math import gcd
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
@@ -16,8 +17,10 @@ from fermatsym.localobs import (
     _WalkBudgetError,
     _level_one,
     _lift_root,
+    _mu,
     _pth_root,
     _root,
+    _scan_point,
     _scan_q,
     bad_primes,
     check_witness,
@@ -111,6 +114,50 @@ def reference_level_one(coeffs, p, q):
             s = s * w % q
         else:
             return None
+
+
+def reference_rule_three(units, p):
+    # (t, z) of the first unit t^p mod p^2, t = 1, ..., p - 1, with a point
+    # (1 : t : z) mod p^2 at ell = p, z^p = z in P; two pow calls per t, as
+    # rule 3 ran before its set test
+    mod = p * p
+    inverse = pow(units[2], -1, mod)
+    for t in range(1, p):
+        z = -(units[0] + units[1] * pow(t, p, mod)) * inverse % mod
+        if z % p and pow(z, p - 1, mod) == 1:
+            return t, z
+    return None
+
+
+def exact_det(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot], det = m[pivot], m[i], -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            for col in range(i, len(m)):
+                m[r][col] -= f * m[i][col]
+    return int(det)
+
+
+def obstruction_integer(a, b, c, k):
+    """D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k) Res(x^k - 1, (a + b x)^k - c^k),
+    exactly.  For even k and a prime q = 1 mod k prime to k*abc, F_q has a
+    point on a x^p + b y^p + c z^p = 0 (p = (q - 1)/k) iff q | D_k.  The
+    resultant is the product of g(zeta) over the k-th roots of unity, the
+    determinant of multiplication by g in Z[x]/(x^k - 1), a circulant."""
+    g = [0] * k  # (a + b x)^k - c^k, reduced by x^k = 1
+    for i in range(k + 1):
+        g[i % k] += comb(k, i) * a ** (k - i) * b**i
+    g[0] -= c**k
+    resultant = exact_det([[g[(i - j) % k] for j in range(k)] for i in range(k)])
+    return (a**k - b**k) * (a**k - c**k) * (b**k - c**k) * resultant
 
 
 def reference_form(coeffs, triple, p, modulus):
@@ -404,16 +451,83 @@ class TestSolvableModQFast:
         assert projective_points_exist(1, 3, 2, 3, 7)
 
     def test_walk_agrees_with_the_reference_walk(self):
-        # same verdict, and the same first hit with the same witness triple
+        # same verdict, and the same first hit with the same witness triple,
+        # from local's pow walk and from the scan's test, which uses sets at
+        # k = (q - 1)/p < p
         rng = random.Random(10)
         for _ in range(40):
             a, b, c = (rng.randint(1, 60) * rng.choice((1, -1)) for _ in range(3))
-            for p in (3, 5, 7, 11, 13):
+            for p in (3, 5, 7, 11, 13, 101, 211, 307):
                 for q in primes_in(3, 3000):
                     if q % p == 1 and (p * a * b * c) % q:
-                        assert _level_one((a, b, c), p, q) == reference_level_one((a, b, c), p, q), (
-                            a, b, c, p, q,
-                        )
+                        expected = reference_level_one((a, b, c), p, q)
+                        assert _level_one((a, b, c), p, q) == expected, (a, b, c, p, q)
+                        assert _scan_point((a, b, c), p, q) == expected, (a, b, c, p, q)
+
+    def test_mu_is_the_set_of_pth_powers(self):
+        # in F_q*, and the p - 1 Teichmuller units t^p mod p^2 of rule 3
+        for p in (3, 5, 7, 11, 13):
+            for q in primes_in(3, 2000):
+                if q % p == 1:
+                    assert _mu(p, q, (q - 1) // p) == {pow(x, p, q) for x in range(1, q)}, (p, q)
+        for p in primes_in(3, 1000):
+            assert _mu(p, p * p, p - 1) == {pow(t, p, p * p) for t in range(1, p)}, p
+
+    def test_set_test_agrees_with_the_obstruction_integer(self):
+        # a second oracle, independent of any walk: for even k <= 12, F_q has
+        # no point iff q does not divide D_k
+        rng = random.Random(13)
+        triples = [(3, 8, 21), (3, 4, 5)]
+        triples += [tuple(rng.randint(1, 99) * rng.choice((1, -1)) for _ in range(3)) for _ in range(4)]
+        primes = primes_in(5, 3000)
+        kinds = set()
+        for a, b, c in triples:
+            D = {k: obstruction_integer(a, b, c, k) for k in range(2, 13, 2)}
+            for p in primes:
+                for k, Dk in D.items():
+                    q = k * p + 1
+                    if not is_prime(q) or (p * a * b * c) % q == 0:
+                        continue
+                    no_point = Dk % q != 0
+                    assert (_scan_point((a, b, c), p, q) is None) == no_point, (a, b, c, p, q)
+                    assert (_level_one((a, b, c), p, q) is None) == no_point, (a, b, c, p, q)
+                    if q < 200:
+                        assert projective_points_exist(a, b, c, p, q) != no_point, (a, b, c, p, q)
+                    kinds.add(no_point)
+                # the scan stops at the first such q, or at the Weil cutoff
+                expected_scan = next(
+                    (
+                        (k * p + 1, k) for k in range(2, 13, 2)
+                        if is_prime(k * p + 1) and (a * b * c) % (k * p + 1) and k * p + 1 <= weil_cutoff(p)
+                        and D[k] % (k * p + 1)
+                    ),
+                    (None, None),
+                )
+                assert _scan_q(a, b, c, p, 12) == expected_scan, (a, b, c, p)
+        assert kinds == {True, False}
+
+    def test_rule_three_at_ell_equal_p_agrees_with_the_reference_walk(self):
+        # units with no pair ratio in P, so that rule 3 decides: the same
+        # verdict, and the witness keeps the reference's first t and its z
+        rng = random.Random(14)
+        kinds = set()
+        for p in primes_in(3, 1000):
+            mod = p * p
+            for _ in range(3):
+                units = [rng.randrange(1, mod) * rng.choice((1, -1)) for _ in range(3)]
+                if any(u % p == 0 for u in units) or any(
+                    pow(-units[j] * pow(units[i], -1, mod), p - 1, mod) == 1 for i, j in ((0, 1), (0, 2), (1, 2))
+                ):
+                    continue
+                expected = reference_rule_three(units, p)
+                res = solvable_over_Ql(*units, p, p)
+                if expected is None:
+                    assert res == LocalResult("unsolvable", p, None, 2), (units, p)
+                else:
+                    assert res.status == "solvable" and res.witness.triple[1:] == expected, (units, p)
+                    assert check_witness(*units, p, p, res.witness)
+                kinds.add(res.status)
+        assert kinds == {"solvable", "unsolvable"}
 
     def test_walk_drops_three_t_before_its_hit(self):
         # at q = 73, p = 3 (k = 24) the walks from t = 2, 3, 4 close after 3,
