@@ -13,6 +13,12 @@ Where the prime sits:
   point; elsewhere, local included, each step is one pow test (local stops
   past IMAGE_BOUND steps).  A p-th root is u^(1/p mod k), or, when p | k,
   Adleman-Manders-Miller's: one discrete log in the Sylow p-subgroup.
+  sweep decides most of its q without mu_k: for even k, F_q has a point iff
+  q | D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k) prod_{zeta^k = 1} ((a + b
+  zeta)^k - c^k), an integer free of p (q splits in Q(zeta_k), and zeta goes
+  to a generator of mu_k).  A sweep call builds D_k once, by root-squaring
+  and a Bareiss determinant, after it has met k's q k times, where D_k has
+  at most about TABLE_BITS bits; a q dividing D_k still gets the set test.
 * bad primes ell | p*a*b*c: exact, by valuation cases.  Write c_i =
   ell^V_i u_i and v_i = V_i mod p (scaling x_i by ell adds p to V_i).  P,
   the unit p-th powers of Z_ell, is read mod ell^kappa (kappa = 2 at
@@ -32,7 +38,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 from .ntkernel import factor_small, is_prime, primes_in, valuation
 
@@ -47,6 +53,11 @@ SWEEP_BOUND = 10**7
 
 # The largest k_max, the last k of the scan over q = kp + 1.
 KMAX_BOUND = 10**5
+
+# The largest D_k, in estimated bits k^2 * bitlen(|a| + |b| + |c|), that sweep
+# builds to decide q = kp + 1 by D_k mod q (k <= 16 for 3,8,21, k <= 18 for
+# 3,4,5).  A larger one costs more than a window of 10^4 exponents repays.
+TABLE_BITS = 1536
 
 
 class PreconditionError(Exception):
@@ -295,6 +306,36 @@ def _scan_point(coeffs, p: int, q: int) -> Witness | None:
     return _checked(coeffs, p, q, Witness((1, pow(t, i, q), _root(-(a1 + b1 * s) % q, p, q)), 1, 0, 0))
 
 
+def _obstruction_integer(a: int, b: int, c: int, k: int) -> int:
+    """D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k) prod_{zeta^k = 1} h(zeta), with
+    h(x) = (a + b x)^k - c^k, exactly.  While k is even, prod over zeta^(2n) = 1
+    of h is prod over zeta^n = 1 of H(y) = h(sqrt y) h(-sqrt y) = E(y)^2 - y O(y)^2
+    (h = E(x^2) + x O(x^2)), reduced mod y^n - 1; the odd rest is the
+    determinant of the circulant of multiplication by h, by Bareiss."""
+    h = [0] * k
+    for i in range(k + 1):
+        h[i % k] += comb(k, i) * a ** (k - i) * b**i
+    h[0] -= c**k
+    while len(h) % 2 == 0:
+        E, O, n = h[0::2], h[1::2], len(h) // 2
+        h = [0] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            h[(i + j) % n] += E[i] * E[j]
+            h[(i + j + 1) % n] -= O[i] * O[j]
+    n = len(h)
+    m, sign, previous = [[h[(i - j) % n] for j in range(n)] for i in range(n)], 1, 1
+    for i in range(n - 1):
+        pivot = next((r for r in range(i, n) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot], sign = m[pivot], m[i], -sign
+        for r in range(i + 1, n):
+            m[r][i + 1 :] = [(m[r][j] * m[i][i] - m[r][i] * m[i][j]) // previous for j in range(i + 1, n)]
+        previous = m[i][i]
+    return (a**k - b**k) * (a**k - c**k) * (b**k - c**k) * sign * m[-1][-1]
+
+
 def _checked(coeffs, p: int, ell: int, witness: Witness) -> Witness:
     if not check_witness(*coeffs, p, ell, witness):
         raise RuntimeError(f"witness {witness} fails check_witness")
@@ -370,10 +411,15 @@ def has_local_obstruction(a: int, b: int, c: int, p: int, k_max: int = 200) -> O
     return ObstructionSearch(eq, p, None, None, None, certified, cutoff, tuple(undecided))
 
 
-def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int | None]:
+def _scan_q(
+    a: int, b: int, c: int, p: int, k_max: int, tables: dict | None = None
+) -> tuple[int | None, int | None]:
     """(q, k) for the first q = kp + 1 (k even, k <= k_max) prime to abc that
     has no F_q point, or (None, None).  The scan stops at the Weil
-    cutoff, above which no q can fail."""
+    cutoff, above which no q can fail.  sweep's tables, k -> (times met,
+    D_k or None) for the k it allows, build D_k once k's q has been met k
+    times.  Then q not dividing D_k means "no point"; where it divides D_k,
+    _scan_point must find the point."""
     cutoff, abc = weil_cutoff(p), a * b * c
     for k in range(2, k_max + 1, 2):
         q = k * p + 1
@@ -381,7 +427,17 @@ def _scan_q(a: int, b: int, c: int, p: int, k_max: int) -> tuple[int | None, int
             continue
         if q > cutoff:
             break
+        D = None
+        if tables and k in tables:
+            met, D = tables[k]
+            if D is None:
+                D = _obstruction_integer(a, b, c, k) if met >= k else None
+                tables[k] = (met + 1, D)
+        if D is not None and D % q:
+            return q, k
         if _scan_point((a, b, c), p, q) is None:
+            if D is not None:
+                raise RuntimeError(f"{q} divides D_{k} of {(a, b, c)} but F_{q} has no point")
             return q, k
     return None, None
 
@@ -391,17 +447,20 @@ def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> l
 
     Only the F_q test at q = kp + 1 is used here (the fast mode matching the
     large-exponent claims); per-prime Q_ell analysis is has_local_obstruction's
-    job.  Deterministic for fixed k_max.
+    job.  Deterministic for fixed k_max.  One table of D_k serves the whole
+    call, for the k with k^2 bitlen(|a| + |b| + |c|) <= TABLE_BITS (see
+    _scan_q); an entry's elapsed_ms is its own scan, a build included.
     """
     _check_k_max(k_max)
     if p_min > p_max:
         raise PreconditionError(f"p_min {p_min} is above p_max {p_max}")
     if p_max - p_min > SWEEP_BOUND or p_max > SWEEP_BOUND**2:
         raise PreconditionError(f"[{p_min}, {p_max}) is wider than SWEEP_BOUND or ends past its square")
-    entries = []
+    k_table = isqrt(TABLE_BITS // ((abs(a) + abs(b) + abs(c)).bit_length() or 1))
+    entries, tables = [], {k: (0, None) for k in range(2, k_table + 1, 2)}
     for p in primes_in(p_min, p_max):
         if p > 2:
             started = time.monotonic_ns()
-            q, k = _scan_q(a, b, c, p, k_max)
+            q, k = _scan_q(a, b, c, p, k_max, tables)
             entries.append(SweepEntry(p, q, k, (time.monotonic_ns() - started) // 1_000_000))
     return entries

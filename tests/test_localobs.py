@@ -2,14 +2,16 @@ import functools
 import random
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 
+from fermatsym import localobs
 from fermatsym.localobs import (
     IMAGE_BOUND,
     KMAX_BOUND,
     SWEEP_BOUND,
+    TABLE_BITS,
     LocalResult,
     PreconditionError,
     Witness,
@@ -18,6 +20,7 @@ from fermatsym.localobs import (
     _level_one,
     _lift_root,
     _mu,
+    _obstruction_integer,
     _pth_root,
     _root,
     _scan_point,
@@ -506,6 +509,42 @@ class TestSolvableModQFast:
                 assert _scan_q(a, b, c, p, 12) == expected_scan, (a, b, c, p)
         assert kinds == {True, False}
 
+    def test_obstruction_integer_equals_the_circulant_oracle(self):
+        rng = random.Random(13)
+        triples = [(3, 8, 21), (3, 4, 5)]
+        triples += [tuple(rng.randint(1, 99) * rng.choice((1, -1)) for _ in range(3)) for _ in range(4)]
+        for a, b, c in triples:
+            for k in range(2, 13, 2):
+                assert _obstruction_integer(a, b, c, k) == obstruction_integer(a, b, c, k), (a, b, c, k)
+
+    def test_obstruction_integer_decides_the_scanned_q_up_to_the_table_bound(self):
+        # every even k that sweep may build a table for, for any equation
+        # (|a| + |b| + |c| >= 3 has at least 2 bits): q does not divide D_k iff
+        # _scan_point finds no point, on both paper equations and four seeded
+        # triples with a negative coefficient
+        rng = random.Random(14)
+        triples = [(3, 8, 21), (3, 4, 5)]
+        while len(triples) < 6:
+            triple = tuple(rng.randint(1, 99) * rng.choice((1, -1)) for _ in range(3))
+            if min(triple) < 0:
+                triples.append(triple)
+        primes = primes_in(5, 3000)
+        for a, b, c in triples:
+            for k in range(2, isqrt(TABLE_BITS // 2) + 1, 2):
+                D = _obstruction_integer(a, b, c, k)
+                assert D != 0
+                for p in primes:
+                    q = k * p + 1
+                    if is_prime(q) and (p * a * b * c) % q:
+                        assert (D % q != 0) == (_scan_point((a, b, c), p, q) is None), (a, b, c, p, q)
+
+    def test_obstruction_integer_is_zero_with_a_point_for_every_p(self):
+        # (1 : -1 : -1) is a point of 2,-3,5 and (1 : -1 : 0) one of 5,5,7 for
+        # every odd p, so every q divides D_k
+        for a, b, c in ((2, -3, 5), (5, 5, 7)):
+            for k in range(2, 25, 2):
+                assert _obstruction_integer(a, b, c, k) == 0, (a, b, c, k)
+
     def test_rule_three_at_ell_equal_p_agrees_with_the_reference_walk(self):
         # units with no pair ratio in P, so that rule 3 decides: the same
         # verdict, and the witness keeps the reference's first t and its z
@@ -918,6 +957,58 @@ class TestSweep:
             (99999999999971, 799999999999769, 8),
             (99999999999973, 2199999999999407, 22),
         ]
+
+
+class TestSweepTables:
+    @staticmethod
+    def table_free(a, b, c, p_min, p_max):
+        return [(p, *_scan_q(a, b, c, p, 200)) for p in primes_in(p_min, p_max) if p > 2]
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        built = []
+
+        def build(a, b, c, k):
+            built.append(k)
+            return _obstruction_integer(a, b, c, k)
+
+        monkeypatch.setattr(localobs, "_obstruction_integer", build)
+        return built
+
+    @pytest.mark.parametrize("eq", [(3, 8, 21), (3, 4, 5)])
+    def test_same_entries_with_and_without_tables(self, monkeypatch, eq):
+        built = self.counting_builds(monkeypatch)
+        # one q = 2p + 1 (23): no table
+        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 20)] == self.table_free(*eq, 11, 20)
+        assert built == []
+        # every table the size bound allows, each built once
+        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 20000)] == self.table_free(*eq, 11, 20000)
+        k_table = isqrt(TABLE_BITS // (abs(eq[0]) + abs(eq[1]) + abs(eq[2])).bit_length())
+        assert sorted(built) == list(range(2, k_table + 1, 2))
+
+    @pytest.mark.parametrize("eq", [(2, -3, 5), (5, 5, 7)])
+    def test_zero_tables_fall_back_to_the_set_test(self, monkeypatch, eq):
+        built = self.counting_builds(monkeypatch)
+        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 400)] == self.table_free(*eq, 11, 400)
+        assert built
+
+    def test_huge_coefficients_build_no_table(self, monkeypatch):
+        built = self.counting_builds(monkeypatch)
+        eq = (10**200 + 1, 3 * 10**199 + 7, -(7 * 10**198 + 3))
+        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 3000)] == self.table_free(*eq, 11, 3000)
+        assert built == []
+
+    def test_zero_coefficients_as_without_tables(self):
+        # the library takes them (the CLI refuses them); every q divides abc = 0
+        for eq in ((0, 0, 0), (0, 1, 1)):
+            assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 60)] == self.table_free(*eq, 11, 60)
+
+    def test_a_point_verdict_still_goes_through_the_set_test(self, monkeypatch):
+        # a wrong table that says "q divides D_k" at every q: the first q with
+        # no point shows the contradiction instead of passing as a point
+        monkeypatch.setattr(localobs, "_obstruction_integer", lambda a, b, c, k: 0)
+        with pytest.raises(RuntimeError, match="divides D_"):
+            sweep(3, 4, 5, 11, 1000)
 
 
 class TestUnitPowers:
