@@ -268,16 +268,23 @@ def parse_override_line(line: str) -> CurveRecord:
     )
 
 
-def load_overrides(path: str) -> dict[str, CurveRecord]:
-    records = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+def parse_line_file(path: str, parse, error: type[ValueError]) -> list:
+    """parse(line) for each line of a UTF-8 file, with # comments and blank
+    lines skipped; error names the path, and the line where there is one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+    parsed = []
+    for lineno, raw in enumerate(lines, start=1):
+        if line := raw.split("#", 1)[0].strip():
             try:
-                rec = parse_override_line(line)
-            except OverrideFormatError as e:
-                raise OverrideFormatError(f"{path}:{lineno}: {e}") from None
-            records[rec.label] = rec
-    return records
+                parsed.append(parse(line))
+            except error as e:
+                raise error(f"{path}:{lineno}: {e}") from None
+    return parsed
+
+
+def load_overrides(path: str) -> dict[str, CurveRecord]:
+    return {rec.label: rec for rec in parse_line_file(path, parse_override_line, OverrideFormatError)}

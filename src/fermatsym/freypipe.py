@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qrsolver
-from .curvedb import CurveDatabase, CurveRecord
+from .curvedb import CurveDatabase, CurveRecord, parse_line_file
 from .qrsolver import FALSE, Atom, SignExpr, all_of, any_of
 from .symplectic import (
     CriterionError,
@@ -89,16 +89,6 @@ class SubCase:
     symplectic: SymplecticType
     steps: tuple[ConstraintStep, ...]
     eliminated: bool  # branch yields an unconditional contradiction
-
-    def decisive_kernels(self) -> list[QRConstraint]:
-        """The constraints the sub-case turns on, the way a proof would cite them.
-
-        For an eliminated branch these are the violated constraints as
-        derived; otherwise the pending reduced constraints.
-        """
-        if self.eliminated:
-            return [s.kernel for s in self.steps if s.status in ("violated", "contradiction") and s.kernel is not None]
-        return [s.reduced for s in self.steps if s.status == "pending"]
 
 
 @dataclass(frozen=True)
@@ -264,16 +254,8 @@ def parse_scenario_line(line: str) -> tuple[tuple[int, int, int], dict]:
 
 def load_scenarios(path: str) -> dict[tuple[int, int, int], list[dict]]:
     table: dict[tuple[int, int, int], list[dict]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                eq, scenario = parse_scenario_line(line)
-            except ScenarioFormatError as e:
-                raise ScenarioFormatError(f"{path}:{lineno}: {e}") from None
-            table.setdefault(eq, []).append(scenario)
+    for eq, scenario in parse_line_file(path, parse_scenario_line, ScenarioFormatError):
+        table.setdefault(eq, []).append(scenario)
     return table
 
 

@@ -3,22 +3,23 @@
 Where the prime sits:
 
 * good primes ell prime to p*a*b*c, among them every q = kp + 1 of the
-  scan: every F_ell point lifts to Q_ell (smoothness), so level 1 decides.
-  The p-th powers in F_ell* are mu_k, so membership is one pow test: three
-  find the points with a zero coordinate.  The others (chart x = 1) come from
-  a walk over the powers of t^p for t = 2, 3, ..., which drops each t whose
-  powers return to 1 before k steps, so k is never factored.  About k/p chart
-  points exist, so where k < p (most q of the scan) one set test over mu_k,
-  built by those products, decides, with set lookups only if there is a
-  point; elsewhere, local included, each step is one pow test (local stops
-  past IMAGE_BOUND steps).  A p-th root is u^(1/p mod k), or, when p | k,
-  Adleman-Manders-Miller's: one discrete log in the Sylow p-subgroup.
-  sweep decides most of its q without mu_k: for even k, F_q has a point iff
-  q | D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k) prod_{zeta^k = 1} ((a + b
-  zeta)^k - c^k), an integer free of p (q splits in Q(zeta_k), and zeta goes
-  to a generator of mu_k).  A sweep call builds D_k once, by root-squaring
-  and a Bareiss determinant, after it has met k's q k times, where D_k has
-  at most about TABLE_BITS bits; a q dividing D_k still gets the set test.
+  scan: every F_ell point lifts to Q_ell (smoothness), so level 1 decides,
+  by one rule in _level_one.  The p-th powers in F_ell* are mu_k, so
+  membership is one pow test: three find the points with a zero coordinate.
+  The others (chart x = 1) come from a walk over the powers of t^p for
+  t = 2, 3, ..., which drops each t whose powers return to 1 before k steps,
+  so k is never factored.  About k/p chart points exist, so where k < p one
+  set test over mu_k, built by those products, decides, with set lookups
+  only if there is a point; elsewhere each step is one pow test, and a walk
+  over a mu_k past IMAGE_BOUND stops after IMAGE_BOUND steps.  A p-th root is
+  u^(1/p mod k), or, when p | k, Adleman-Manders-Miller's: one discrete log
+  in the Sylow p-subgroup.  sweep decides most of its q without mu_k: for
+  even k, F_q has a point iff q | D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k)
+  prod_{zeta^k = 1} ((a + b zeta)^k - c^k), an integer free of p (q splits
+  in Q(zeta_k), and zeta goes to a generator of mu_k).  A sweep call builds
+  D_k, by root-squaring and a Bareiss determinant, at k's first q, where D_k
+  has at most about TABLE_BITS bits; a q dividing D_k still goes to
+  _level_one.
 * bad primes ell | p*a*b*c: exact, by valuation cases.  Write c_i =
   ell^V_i u_i and v_i = V_i mod p (scaling x_i by ell adds p to V_i).  P,
   the unit p-th powers of Z_ell, is read mod ell^kappa (kappa = 2 at
@@ -44,7 +45,7 @@ from .ntkernel import factor_small, is_prime, primes_in, valuation
 
 # The most unit p-th powers (mu_k in F_q*, or the p - 1 units t^p mod p^2 at
 # ell = p) one call may walk or build: past it a bad prime is "undecided" at
-# once and solvable_mod_q_fast refuses q, and at a good prime local's walk
+# once and solvable_mod_q_fast refuses q, and a good-prime walk over more
 # stops after this many steps, summed over all t, with "undecided".
 IMAGE_BOUND = 200_000
 
@@ -207,7 +208,7 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
         raise PreconditionError(f"{q} divides p*a*b*c")
     if (q - 1) // p > IMAGE_BOUND:
         raise PreconditionError(f"the {(q - 1) // p} p-th powers in F_{q}* pass IMAGE_BOUND")
-    return _scan_point((a, b, c), p, q) is not None
+    return _level_one((a, b, c), p, q) is not None
 
 
 def _pth_root(u: int, p: int, q: int) -> int:
@@ -266,11 +267,12 @@ def _mu(p: int, q: int, k: int) -> set[int]:
             return mu
 
 
-def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | None:
+def _level_one(coeffs, p: int, q: int) -> Witness | None:
     """A checked level-1 witness at a prime q prime to p*a*b*c, or None when
-    there is no F_q point, by pow tests: three for a zero coordinate, then one
-    per step of _chart.  With a budget the walk takes at most that many steps,
-    summed over all t, and raises _WalkBudgetError past it."""
+    there is no F_q point (the good-prime rule of the module docstring).  The
+    chart point is (1, t^i, z) at the first step (t, i, s) of _chart where
+    a1 + b1 s is in mu_k, with a1 = a/c and b1 = b/c (-1 is in mu_k); a walk
+    past IMAGE_BOUND raises _WalkBudgetError."""
     k = (q - 1) // gcd(p, q - 1)
     # points with a zero coordinate: x_i^p = -c_j/c_i at x_j = 1, which is in
     # mu_k iff c_i^k = c_j^k, since -1 = (-1)^p is
@@ -280,30 +282,17 @@ def _level_one(coeffs, p: int, q: int, budget: int | None = None) -> Witness | N
             triple = [0, 0, 0]
             triple[i], triple[j] = _root(-coeffs[j] * pow(coeffs[i], -1, q) % q, p, q), 1
             return _checked(coeffs, p, q, Witness(tuple(triple), 1, j, 0))
-    a, b, c = coeffs
-    for step, (t, i, s) in enumerate(_chart(p, q, k)):
-        if step == budget:
-            raise _WalkBudgetError(f"the walk over mu_{k} in F_{q}* passes its budget")
-        if pow(a + b * s, k, q) == powers[2]:  # z^p = -(a + b s)/c is in mu_k
-            z = _root(-(a + b * s) * pow(c, -1, q) % q, p, q)
-            return _checked(coeffs, p, q, Witness((1, pow(t, i, q), z), 1, 0, 0))
-    return None
-
-
-def _scan_point(coeffs, p: int, q: int) -> Witness | None:
-    """_level_one(coeffs, p, q) at q = kp + 1.  About k/p of the k chart steps
-    hit, so at k < p "no point" is usual and sets decide it: with a1 = a/c and
-    b1 = b/c there is a point at s iff a1 + b1 s is in mu_k (-1 is), so one
-    isdisjoint at C speed finds "no point"; else _chart runs, by lookups."""
-    k = (q - 1) // p
-    if k >= p or len({pow(n, k, q) for n in coeffs}) < 3:  # or a point with a zero coordinate
-        return _level_one(coeffs, p, q)
-    mu, inverse = _mu(p, q, k), pow(coeffs[2], -1, q)
+    inverse = pow(coeffs[2], -1, q)
     a1, b1 = coeffs[0] * inverse % q, coeffs[1] * inverse % q
-    if mu.isdisjoint([(a1 + b1 * s) % q for s in mu]):
+    mu = _mu(p, q, k) if k < p and k <= IMAGE_BOUND else None
+    if mu and mu.isdisjoint([(a1 + b1 * s) % q for s in mu]):
         return None
-    t, i, s = next(step for step in _chart(p, q, k) if (a1 + b1 * step[2]) % q in mu)
-    return _checked(coeffs, p, q, Witness((1, pow(t, i, q), _root(-(a1 + b1 * s) % q, p, q)), 1, 0, 0))
+    for step, (t, i, s) in enumerate(_chart(p, q, k)):
+        if step == IMAGE_BOUND < k:
+            raise _WalkBudgetError(f"the walk over mu_{k} in F_{q}* passes IMAGE_BOUND")
+        if (a1 + b1 * s) % q in mu if mu else pow(a1 + b1 * s, k, q) == 1:
+            return _checked(coeffs, p, q, Witness((1, pow(t, i, q), _root(-(a1 + b1 * s) % q, p, q)), 1, 0, 0))
+    return None
 
 
 def _obstruction_integer(a: int, b: int, c: int, k: int) -> int:
@@ -372,9 +361,8 @@ def solvable_over_Ql(
     if max_level is not None and max_level < 1:
         raise PreconditionError(f"max_level must be at least 1, got {max_level}")
     if (p * a * b * c) % ell:
-        budget = IMAGE_BOUND if (ell - 1) // p > IMAGE_BOUND else None
         try:
-            witness = _level_one((a, b, c), p, ell, budget)
+            witness = _level_one((a, b, c), p, ell)
         except _WalkBudgetError:
             return LocalResult("undecided", ell)
         return LocalResult("solvable" if witness else "unsolvable", ell, witness, 1)
@@ -416,10 +404,9 @@ def _scan_q(
 ) -> tuple[int | None, int | None]:
     """(q, k) for the first q = kp + 1 (k even, k <= k_max) prime to abc that
     has no F_q point, or (None, None).  The scan stops at the Weil
-    cutoff, above which no q can fail.  sweep's tables, k -> (times met,
-    D_k or None) for the k it allows, build D_k once k's q has been met k
-    times.  Then q not dividing D_k means "no point"; where it divides D_k,
-    _scan_point must find the point."""
+    cutoff, above which no q can fail.  sweep's tables, k -> D_k or None for
+    the k it allows, build D_k at k's first q.  Then q not dividing D_k means
+    "no point"; where it divides D_k, _level_one must find the point."""
     cutoff, abc = weil_cutoff(p), a * b * c
     for k in range(2, k_max + 1, 2):
         q = k * p + 1
@@ -429,13 +416,12 @@ def _scan_q(
             break
         D = None
         if tables and k in tables:
-            met, D = tables[k]
+            D = tables[k]
             if D is None:
-                D = _obstruction_integer(a, b, c, k) if met >= k else None
-                tables[k] = (met + 1, D)
+                D = tables[k] = _obstruction_integer(a, b, c, k)
         if D is not None and D % q:
             return q, k
-        if _scan_point((a, b, c), p, q) is None:
+        if _level_one((a, b, c), p, q) is None:
             if D is not None:
                 raise RuntimeError(f"{q} divides D_{k} of {(a, b, c)} but F_{q} has no point")
             return q, k
@@ -457,7 +443,7 @@ def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> l
     if p_max - p_min > SWEEP_BOUND or p_max > SWEEP_BOUND**2:
         raise PreconditionError(f"[{p_min}, {p_max}) is wider than SWEEP_BOUND or ends past its square")
     k_table = isqrt(TABLE_BITS // ((abs(a) + abs(b) + abs(c)).bit_length() or 1))
-    entries, tables = [], {k: (0, None) for k in range(2, k_table + 1, 2)}
+    entries, tables = [], dict.fromkeys(range(2, k_table + 1, 2))
     for p in primes_in(p_min, p_max):
         if p > 2:
             started = time.monotonic_ns()

@@ -125,11 +125,16 @@ def pretty(expr: SignExpr) -> str:
 #          atom  := '(' integer ')' '=' ('+1' | '-1')
 # ---------------------------------------------------------------------------
 
+# The most '!' and grouping '(' open at once; deeper input is a ParseError,
+# so parse, pretty and to_classes stay inside Python's recursion limit.
+NESTING_BOUND = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(message, self.pos + 1)
@@ -165,7 +170,7 @@ class _Parser:
         ch = self.peek()
         if ch == "!":
             self.pos += 1
-            return Not(self.parse_factor())
+            return Not(self.nested(self.parse_factor))
         if ch != "(":
             self.error("expected '(' or '!'")
         # '(' opens either an atom "(n)=s" or a grouped expression
@@ -185,9 +190,18 @@ class _Parser:
                     return atom(n, sign)
         # not an atom: grouped expression
         self.pos = save + 1
-        inner = self.parse_expr()
+        inner = self.nested(self.parse_expr)
         self.expect(")")
         return inner
+
+    def nested(self, parse) -> SignExpr:
+        # the '!' or '(' just read opens one more level
+        if self.depth == NESTING_BOUND:
+            raise ParseError(f"more than NESTING_BOUND = {NESTING_BOUND} nested '(' and '!'", self.pos)
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
 
     def _try_integer(self) -> int | None:
         self.skip_ws()

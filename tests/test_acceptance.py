@@ -25,6 +25,7 @@ from fermatsym.ntkernel import is_prime, jacobi, primes_in
 from fermatsym.qrsolver import CongruenceClassSet, decompose, parse
 from fermatsym.symplectic import QRConstraint, SymplecticType
 
+from helpers import decisive_kernels
 from test_ecmodel import inverse_transform
 from test_localobs import projective_points_exist
 
@@ -70,7 +71,7 @@ def test_criterion_3_subcase_ledger():
     # then (-1/p)=1 and (-3/p)=1 under the (2/p)=+1 branches
     def kernels(case, branch):
         sub = next(s for s in case.subcases if s.legendre_2_p == branch)
-        return sub.decisive_kernels()
+        return decisive_kernels(sub)
 
     assert kernels(cases["168a1"], -1) == [QRConstraint(2, 1)]
     assert kernels(cases["168b1"], -1) == [QRConstraint(2, 1)]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fermatsym import cli
 from fermatsym.localobs import KMAX_BOUND, Witness, check_witness
+from fermatsym.qrsolver import NESTING_BOUND
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +395,21 @@ class TestDensity:
         assert code == 2
         assert "trial-division bound" in err
 
+    @pytest.mark.parametrize("open_, close", [("(", ")"), ("!", "")])
+    def test_nesting_past_the_bound_exit_2_at_once(self, capsys, open_, close):
+        # one level past NESTING_BOUND fails at its '(' or '!'; the bound parses
+        deep = NESTING_BOUND + 1
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "density", open_ * deep + "(3)=1" + close * deep)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert out == ""
+        assert f"NESTING_BOUND = {NESTING_BOUND}" in err and f"column {deep}" in err
+        assert "Traceback" not in err
+        code, out, _ = run_cli(capsys, "density", open_ * NESTING_BOUND + "(3)=1" + close * NESTING_BOUND)
+        assert code == 0
+        assert "density 1/2" in out
+
 
 class TestCurve:
     def test_120b1(self, capsys, schema):
@@ -433,6 +449,18 @@ class TestOverridesPlumbing:
     def test_missing_override_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "curve", "168a1", "--overrides", "/nonexistent/zzz")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag", [(("curve", "168a1"), "--overrides"), (("analyze", "--eq", "3,4,5"), "--scenarios")]
+    )
+    def test_file_not_utf8_exit_2(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"\xff99z1 | 99 | -1 | 3:2,11:1 | mult | false | -\n")
+        code, out, err = run_cli(capsys, *argv, flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: not UTF-8 text" in err
+        assert "Traceback" not in err
 
 
 # strings with the characters the writer's separators are made of

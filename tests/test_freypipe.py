@@ -26,6 +26,8 @@ from fermatsym.qrsolver import (
 )
 from fermatsym.symplectic import QRConstraint, SymplecticType
 
+from helpers import decisive_kernels
+
 
 class TestScenarios:
     def test_eq1_y_odd_has_exact_v2(self):
@@ -110,11 +112,11 @@ class TestRunCase:
 
     def test_decisive_kernels_match_sources(self):
         a = _case((3, 8, 21), "y_odd", "168a1")
-        assert a.subcases[0].decisive_kernels() == [QRConstraint(2, 1)]
-        assert a.subcases[1].decisive_kernels() == [QRConstraint(-1, 1)]
+        assert decisive_kernels(a.subcases[0]) == [QRConstraint(2, 1)]
+        assert decisive_kernels(a.subcases[1]) == [QRConstraint(-1, 1)]
         b = _case((3, 8, 21), "y_odd", "168b1")
-        assert b.subcases[0].decisive_kernels() == [QRConstraint(2, 1)]
-        assert b.subcases[1].decisive_kernels() == [QRConstraint(-3, 1)]
+        assert decisive_kernels(b.subcases[0]) == [QRConstraint(2, 1)]
+        assert decisive_kernels(b.subcases[1]) == [QRConstraint(-3, 1)]
 
     def test_inertia_route_requires_exact_v2(self):
         db = CurveDatabase()

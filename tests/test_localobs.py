@@ -15,6 +15,7 @@ from fermatsym.localobs import (
     LocalResult,
     PreconditionError,
     Witness,
+    _chart,
     _checked,
     _WalkBudgetError,
     _level_one,
@@ -23,7 +24,6 @@ from fermatsym.localobs import (
     _obstruction_integer,
     _pth_root,
     _root,
-    _scan_point,
     _scan_q,
     bad_primes,
     check_witness,
@@ -455,8 +455,7 @@ class TestSolvableModQFast:
 
     def test_walk_agrees_with_the_reference_walk(self):
         # same verdict, and the same first hit with the same witness triple,
-        # from local's pow walk and from the scan's test, which uses sets at
-        # k = (q - 1)/p < p
+        # by set tests at k = (q - 1)/p < p and by pow tests at k >= p
         rng = random.Random(10)
         for _ in range(40):
             a, b, c = (rng.randint(1, 60) * rng.choice((1, -1)) for _ in range(3))
@@ -465,7 +464,6 @@ class TestSolvableModQFast:
                     if q % p == 1 and (p * a * b * c) % q:
                         expected = reference_level_one((a, b, c), p, q)
                         assert _level_one((a, b, c), p, q) == expected, (a, b, c, p, q)
-                        assert _scan_point((a, b, c), p, q) == expected, (a, b, c, p, q)
 
     def test_mu_is_the_set_of_pth_powers(self):
         # in F_q*, and the p - 1 Teichmuller units t^p mod p^2 of rule 3
@@ -492,7 +490,6 @@ class TestSolvableModQFast:
                     if not is_prime(q) or (p * a * b * c) % q == 0:
                         continue
                     no_point = Dk % q != 0
-                    assert (_scan_point((a, b, c), p, q) is None) == no_point, (a, b, c, p, q)
                     assert (_level_one((a, b, c), p, q) is None) == no_point, (a, b, c, p, q)
                     if q < 200:
                         assert projective_points_exist(a, b, c, p, q) != no_point, (a, b, c, p, q)
@@ -520,7 +517,7 @@ class TestSolvableModQFast:
     def test_obstruction_integer_decides_the_scanned_q_up_to_the_table_bound(self):
         # every even k that sweep may build a table for, for any equation
         # (|a| + |b| + |c| >= 3 has at least 2 bits): q does not divide D_k iff
-        # _scan_point finds no point, on both paper equations and four seeded
+        # _level_one finds no point, on both paper equations and four seeded
         # triples with a negative coefficient
         rng = random.Random(14)
         triples = [(3, 8, 21), (3, 4, 5)]
@@ -536,7 +533,7 @@ class TestSolvableModQFast:
                 for p in primes:
                     q = k * p + 1
                     if is_prime(q) and (p * a * b * c) % q:
-                        assert (D % q != 0) == (_scan_point((a, b, c), p, q) is None), (a, b, c, p, q)
+                        assert (D % q != 0) == (_level_one((a, b, c), p, q) is None), (a, b, c, p, q)
 
     def test_obstruction_integer_is_zero_with_a_point_for_every_p(self):
         # (1 : -1 : -1) is a point of 2,-3,5 and (1 : -1 : 0) one of 5,5,7 for
@@ -577,11 +574,35 @@ class TestSolvableModQFast:
         witness = _level_one((1, 2, 4), 3, 73)
         assert witness == reference_level_one((1, 2, 4), 3, 73) == Witness((1, 5, 71), 1, 0, 0)
 
-    def test_walk_budget_counts_the_steps_of_every_t(self):
-        # the walk above takes 3 + 4 + 3 steps before t = 5 hits at its step 1
-        assert _level_one((1, 2, 4), 3, 73, budget=12) == Witness((1, 5, 71), 1, 0, 0)
+    def test_walk_budget_counts_the_steps_of_every_t(self, monkeypatch):
+        # the walk above takes 3 + 4 + 3 steps before t = 5 hits at its step
+        # 1, index 11 of the walk; a lowered IMAGE_BOUND below k = 24 caps it
+        monkeypatch.setattr("fermatsym.localobs.IMAGE_BOUND", 12)
+        assert _level_one((1, 2, 4), 3, 73) == Witness((1, 5, 71), 1, 0, 0)
+        monkeypatch.setattr("fermatsym.localobs.IMAGE_BOUND", 11)
         with pytest.raises(_WalkBudgetError):
-            _level_one((1, 2, 4), 3, 73, budget=11)
+            _level_one((1, 2, 4), 3, 73)
+
+    def test_walk_budget_below_p_past_a_lowered_image_bound(self, monkeypatch):
+        # at q = 461, p = 23 (k = 20 < p) the first chart point of 3,8,21 is
+        # at index 10 of the walk; with mu_k past IMAGE_BOUND the set test
+        # gives way to the budgeted walk, which never builds mu_k
+        def refuse(*args):
+            raise AssertionError("mu_k built past IMAGE_BOUND")
+
+        monkeypatch.setattr(localobs, "_mu", refuse)
+        expected = reference_level_one((3, 8, 21), 23, 461)
+        hits = (n for n, (t, i, s) in enumerate(_chart(23, 461, 20)) if pow(3 + 8 * s, 20, 461) == pow(21, 20, 461))
+        assert next(hits) == 10
+        for bound in (11, 19):
+            monkeypatch.setattr("fermatsym.localobs.IMAGE_BOUND", bound)
+            assert solvable_over_Ql(3, 8, 21, 23, 461) == LocalResult("solvable", 461, expected, 1)
+        monkeypatch.setattr("fermatsym.localobs.IMAGE_BOUND", 10)
+        assert solvable_over_Ql(3, 8, 21, 23, 461) == LocalResult("undecided", 461)
+        # no point at q = 137, p = 17 (k = 8): the walk covers at least k steps
+        assert reference_level_one((3, 4, 5), 17, 137) is None
+        monkeypatch.setattr("fermatsym.localobs.IMAGE_BOUND", 7)
+        assert solvable_over_Ql(3, 4, 5, 17, 137) == LocalResult("undecided", 137)
 
     def test_image_bound_caps_only_walks_over_more_powers(self, monkeypatch):
         # at q = 43, p = 7 (k = 6) t = 2 closes after 2 steps and there is no
@@ -975,16 +996,41 @@ class TestSweepTables:
         monkeypatch.setattr(localobs, "_obstruction_integer", build)
         return built
 
+    @staticmethod
+    def first_scans(a, b, c, p_min, p_max, k_table):
+        # (k, p) for each k <= k_table at the first p whose scan tests a
+        # q = kp + 1, read off the table-free scans
+        first = {}
+        for p, _, k_end in TestSweepTables.table_free(a, b, c, p_min, p_max):
+            for k in range(2, min(k_end or 200, k_table) + 1, 2):
+                q = k * p + 1
+                if is_prime(q) and (a * b * c) % q and q <= weil_cutoff(p):
+                    first.setdefault(k, p)
+        return sorted(first.items(), key=lambda item: (item[1], item[0]))
+
     @pytest.mark.parametrize("eq", [(3, 8, 21), (3, 4, 5)])
     def test_same_entries_with_and_without_tables(self, monkeypatch, eq):
-        built = self.counting_builds(monkeypatch)
-        # one q = 2p + 1 (23): no table
-        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 20)] == self.table_free(*eq, 11, 20)
-        assert built == []
-        # every table the size bound allows, each built once
-        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 20000)] == self.table_free(*eq, 11, 20000)
+        # each allowed k's D_k is built at most once, at k's first q
+        built, scans = [], []
+        scan_q = localobs._scan_q
+
+        def scan(a, b, c, p, *args):
+            scans.append(p)
+            return scan_q(a, b, c, p, *args)
+
+        def build(a, b, c, k):
+            built.append((k, scans[-1]))
+            return _obstruction_integer(a, b, c, k)
+
+        monkeypatch.setattr(localobs, "_scan_q", scan)
+        monkeypatch.setattr(localobs, "_obstruction_integer", build)
         k_table = isqrt(TABLE_BITS // (abs(eq[0]) + abs(eq[1]) + abs(eq[2])).bit_length())
-        assert sorted(built) == list(range(2, k_table + 1, 2))
+        for p_min, p_max in ((11, 20), (11, 20000)):
+            built.clear()
+            assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, p_min, p_max)] == self.table_free(*eq, p_min, p_max)
+            assert built == self.first_scans(*eq, p_min, p_max, k_table)
+        # over the wide window, every table the size bound allows
+        assert sorted(k for k, p in built) == list(range(2, k_table + 1, 2))
 
     @pytest.mark.parametrize("eq", [(2, -3, 5), (5, 5, 7)])
     def test_zero_tables_fall_back_to_the_set_test(self, monkeypatch, eq):
