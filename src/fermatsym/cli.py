@@ -66,7 +66,7 @@ def _parse_equation(text: str) -> tuple[int, int, int]:
 
 
 def _database(args) -> CurveDatabase:
-    path = getattr(args, "overrides", None) or os.environ.get(OVERRIDES_ENV)
+    path = args.overrides or os.environ.get(OVERRIDES_ENV)
     overrides = load_overrides(path) if path else None
     return CurveDatabase(overrides)
 
@@ -364,19 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenarios=False):
+    def add_common(p, curves=False):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.add_argument(
-            "--overrides",
-            metavar="PATH",
-            help=f"curve override file (default from ${OVERRIDES_ENV})",
-        )
-        if scenarios:
-            p.add_argument("--scenarios", metavar="PATH", help="scenario file for other equations")
+        if curves:
+            p.add_argument(
+                "--overrides",
+                metavar="PATH",
+                help=f"curve override file (default from ${OVERRIDES_ENV})",
+            )
 
     p = sub.add_parser("analyze", help="congruence classes of eliminated exponents")
     p.add_argument("--eq", required=True, metavar="A,B,C", help="equation coefficients")
-    add_common(p, scenarios=True)
+    add_common(p, curves=True)
+    p.add_argument("--scenarios", metavar="PATH", help="scenario file for other equations")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("local", help="solvability over one Q_ell")
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="show and verify a curve record")
     p.add_argument("label", help="e.g. 168a1")
-    add_common(p)
+    add_common(p, curves=True)
     p.set_defaults(func=cmd_curve)
 
     return parser

@@ -1,13 +1,13 @@
 """Candidate-curve database.
 
 Six curves are embedded: the newform representatives at levels 30, 42, 120
-and 168 that the elimination pipeline compares Frey curves against.  Their
-Weierstrass models are verifiable data: ``verify`` recomputes the minimal
-discriminant and reduction types from the model and diffs them against the
-stored claims.  The inertia flags at 2 are axioms and are not recomputed.
-
-Records for other equations can be supplied through an override file; see
-``load_overrides`` for the line format.
+and 168 that the elimination pipeline compares Frey curves against.  They
+are written as lines of the override format (see ``parse_override_line``)
+and parsed at import, so they pass the same checks as a user's override
+file.  Their Weierstrass models are verifiable data: ``verify`` recomputes
+the minimal discriminant and reduction types from the model and diffs them
+against the stored claims.  The inertia flags at 2 are axioms and are not
+recomputed.  A curve is a candidate at the level equal to its conductor.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ecmodel import (
+    DegenerateModelError,
     ReductionKind,
     ReductionType,
     WeierstrassModel,
@@ -23,6 +24,16 @@ from .ecmodel import (
     reduction_type,
 )
 from .ntkernel import factor_small
+
+
+# label | conductor | sign | l:v,... | red2 | sl2f3 | model  (parse_override_line)
+_EMBEDDED_CURVES = """\
+42a1  |  42 | -1 | 2:8,3:2,7:1 | mult  | false | [1,1,1,-4,5]
+30a1  |  30 | -1 | 2:4,3:3,5:1 | mult  | false | [1,0,1,1,2]
+168a1 | 168 |  1 | 2:4,3:1,7:1 | addpg | true  | [0,1,0,-7,-10]
+168b1 | 168 | -1 | 2:4,3:3,7:4 | addpg | true  | [0,-1,0,-7,52]
+120a1 | 120 |  1 | 2:4,3:2,5:1 | addpg | true  | [0,1,0,-15,18]
+120b1 | 120 | -1 | 2:8,3:1,5:1 | addpg | true  | [0,1,0,4,0]"""
 
 
 class UnknownLabelError(KeyError):
@@ -66,71 +77,11 @@ class VerificationReport:
         return self.status == "verified"
 
 
-_MULT = ReductionType(ReductionKind.MULTIPLICATIVE, potentially_good=False)
-_ADD_PG = ReductionType(ReductionKind.ADDITIVE, potentially_good=True)
-
-
-def _record(label, conductor, sign, vals, red, sl2f3, ainvs):
-    return CurveRecord(
-        label=label,
-        conductor=conductor,
-        disc_sign=sign,
-        disc_valuations=vals,
-        reduction_at=red,
-        inertia_sl2f3_at_2=sl2f3,
-        model=WeierstrassModel(*ainvs) if ainvs else None,
-    )
-
-
-_EMBEDDED: dict[str, CurveRecord] = {
-    r.label: r
-    for r in [
-        _record(
-            "42a1", 42, -1, {2: 8, 3: 2, 7: 1},
-            {2: _MULT, 3: _MULT, 7: _MULT}, False, (1, 1, 1, -4, 5),
-        ),
-        _record(
-            "30a1", 30, -1, {2: 4, 3: 3, 5: 1},
-            {2: _MULT, 3: _MULT, 5: _MULT}, False, (1, 0, 1, 1, 2),
-        ),
-        _record(
-            "168a1", 168, 1, {2: 4, 3: 1, 7: 1},
-            {2: _ADD_PG, 3: _MULT, 7: _MULT}, True, (0, 1, 0, -7, -10),
-        ),
-        _record(
-            "168b1", 168, -1, {2: 4, 3: 3, 7: 4},
-            {2: _ADD_PG, 3: _MULT, 7: _MULT}, True, (0, -1, 0, -7, 52),
-        ),
-        _record(
-            "120a1", 120, 1, {2: 4, 3: 2, 5: 1},
-            {2: _ADD_PG, 3: _MULT, 5: _MULT}, True, (0, 1, 0, -15, 18),
-        ),
-        _record(
-            "120b1", 120, -1, {2: 8, 3: 1, 5: 1},
-            {2: _ADD_PG, 3: _MULT, 5: _MULT}, True, (0, 1, 0, 4, 0),
-        ),
-    ]
-}
-
-_EMBEDDED_LEVELS: dict[int, tuple[str, ...]] = {
-    30: ("30a1",),
-    42: ("42a1",),
-    120: ("120a1", "120b1"),
-    168: ("168a1", "168b1"),
-}
-
-
 class CurveDatabase:
     """Embedded records plus optional user overrides; immutable after load."""
 
     def __init__(self, overrides: dict[str, CurveRecord] | None = None):
-        self._records = dict(_EMBEDDED)
-        self._levels = {n: list(labels) for n, labels in _EMBEDDED_LEVELS.items()}
-        for label, rec in (overrides or {}).items():
-            self._records[label] = rec
-            bucket = self._levels.setdefault(rec.conductor, [])
-            if label not in bucket:
-                bucket.append(label)
+        self._records = {**_EMBEDDED, **(overrides or {})}
 
     def get(self, label: str) -> CurveRecord:
         try:
@@ -139,11 +90,10 @@ class CurveDatabase:
             raise UnknownLabelError(f"unknown curve label {label!r}") from None
 
     def candidates_for_level(self, level: int) -> list[CurveRecord]:
-        try:
-            labels = self._levels[level]
-        except KeyError:
-            raise UnknownLevelError(f"no candidate curves for level {level}") from None
-        return [self._records[x] for x in labels]
+        found = [rec for rec in self._records.values() if rec.conductor == level]
+        if not found:
+            raise UnknownLevelError(f"no candidate curves for level {level}")
+        return found
 
     def labels(self) -> list[str]:
         return sorted(self._records)
@@ -189,15 +139,39 @@ def verify(record: CurveRecord) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# override file
+# override lines; split_fields and parse_prime_map also read scenario lines
 # ---------------------------------------------------------------------------
 
+_MULT = ReductionType(ReductionKind.MULTIPLICATIVE, potentially_good=False)
 _RED_CODES = {
     "good": ReductionType(ReductionKind.GOOD, potentially_good=True),
     "mult": _MULT,
     "add": ReductionType(ReductionKind.ADDITIVE, potentially_good=False),
-    "addpg": _ADD_PG,
+    "addpg": ReductionType(ReductionKind.ADDITIVE, potentially_good=True),
 }
+
+
+def split_fields(line: str, count: int, error: type[ValueError]) -> list[str]:
+    """The count '|'-separated fields of line, stripped."""
+    parts = [p.strip() for p in line.split("|")]
+    if len(parts) != count:
+        raise error(f"expected {count} '|'-separated fields, got {len(parts)}")
+    return parts
+
+
+def parse_prime_map(text: str, convert, error: type[ValueError], what: str) -> dict:
+    """{ell: convert(v)} from 'ell:v,ell:v,...'; empty entries are skipped."""
+    out = {}
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            ell_s, v_s = item.split(":")
+            out[int(ell_s)] = convert(v_s)
+        except ValueError:
+            raise error(f"bad {what} entry {item!r}") from None
+    return out
 
 
 def parse_override_line(line: str) -> CurveRecord:
@@ -207,12 +181,12 @@ def parse_override_line(line: str) -> CurveRecord:
 
     red2 is one of good/mult/add/addpg; reduction at odd primes with positive
     valuation defaults to multiplicative.  sl2f3 is true/false.  The model is
-    optional: use ``-`` to omit it.
+    optional: use ``-`` to omit it.  The conductor must be at least 1 and the
+    model nonsingular.
     """
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) != 7:
-        raise OverrideFormatError(f"expected 7 '|'-separated fields, got {len(parts)}")
-    label, cond_s, sign_s, vals_s, red2_s, sl2f3_s, model_s = parts
+    label, cond_s, sign_s, vals_s, red2_s, sl2f3_s, model_s = split_fields(
+        line, 7, OverrideFormatError
+    )
     try:
         conductor = int(cond_s)
         sign = int(sign_s)
@@ -220,16 +194,7 @@ def parse_override_line(line: str) -> CurveRecord:
         raise OverrideFormatError(f"bad integer field: {e}") from None
     if sign not in (1, -1):
         raise OverrideFormatError(f"sign must be 1 or -1, got {sign}")
-    vals = {}
-    for item in vals_s.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            ell_s, v_s = item.split(":")
-            vals[int(ell_s)] = int(v_s)
-        except ValueError:
-            raise OverrideFormatError(f"bad valuation entry {item!r}") from None
+    vals = parse_prime_map(vals_s, int, OverrideFormatError, "valuation")
     if red2_s not in _RED_CODES:
         raise OverrideFormatError(f"red2 must be one of {sorted(_RED_CODES)}, got {red2_s!r}")
     if sl2f3_s.lower() not in ("true", "false", "0", "1"):
@@ -257,6 +222,13 @@ def parse_override_line(line: str) -> CurveRecord:
             "sl2f3 requires a valuation at 2 and red2 = addpg "
             "(additive, potentially good reduction)"
         )
+    if conductor < 1:
+        raise OverrideFormatError(f"conductor must be at least 1, got {conductor}")
+    if model is not None:
+        try:
+            invariants(model)
+        except DegenerateModelError as e:
+            raise OverrideFormatError(str(e)) from None
     return CurveRecord(
         label=label,
         conductor=conductor,
@@ -288,3 +260,6 @@ def parse_line_file(path: str, parse, error: type[ValueError]) -> list:
 
 def load_overrides(path: str) -> dict[str, CurveRecord]:
     return {rec.label: rec for rec in parse_line_file(path, parse_override_line, OverrideFormatError)}
+
+
+_EMBEDDED = {rec.label: rec for rec in map(parse_override_line, _EMBEDDED_CURVES.splitlines())}

@@ -6,9 +6,10 @@ runs the symplectic criteria against each candidate, and intersects the
 resulting elimination conditions into congruence classes of the exponent
 prime with an exact density.
 
-Scenario data for the two built-in equations is embedded; other equations
-need a scenario file, since discriminant profiles come from a per-equation
-local analysis this engine does not redo.
+Scenario data for the two built-in equations is embedded as four lines of
+the scenario-file format (see ``parse_scenario_line``), parsed at import;
+other equations need a scenario file, since discriminant profiles come from
+a per-equation local analysis this engine does not redo.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qrsolver
-from .curvedb import CurveDatabase, CurveRecord, parse_line_file
+from .curvedb import CurveDatabase, CurveRecord, parse_line_file, parse_prime_map, split_fields
 from .qrsolver import FALSE, Atom, SignExpr, all_of, any_of
 from .symplectic import (
     CriterionError,
@@ -118,44 +119,14 @@ class EquationReport:
 
 
 # ---------------------------------------------------------------------------
-# embedded scenarios
+# scenarios:  a,b,c | parity | level | l:v,... (v! = exact) | labels or * | floor
 # ---------------------------------------------------------------------------
 
-
-def _entry(residue: int, exact: bool = False) -> ValuationEntry:
-    return ValuationEntry(residue, residue if exact else None)
-
-
-_EMBEDDED_SCENARIOS: dict[tuple[int, int, int], list[dict]] = {
-    (3, 8, 21): [
-        {
-            "parity": "y_odd",
-            "level": 168,
-            "profile": {2: _entry(10, exact=True), 3: _entry(-2), 7: _entry(2)},
-            "floor": ExponentFloor(strict=True, bound=7),
-        },
-        {
-            "parity": "y_even",
-            "level": 42,
-            "profile": {2: _entry(-2), 3: _entry(-2), 7: _entry(2)},
-            "floor": ExponentFloor(strict=True, bound=7),
-        },
-    ],
-    (3, 4, 5): [
-        {
-            "parity": "y_odd",
-            "level": 120,
-            "profile": {2: _entry(8, exact=True), 3: _entry(2), 5: _entry(2)},
-            "floor": ExponentFloor(strict=False, bound=5),
-        },
-        {
-            "parity": "y_even",
-            "level": 30,
-            "profile": {2: _entry(-4), 3: _entry(2), 5: _entry(2)},
-            "floor": ExponentFloor(strict=False, bound=5),
-        },
-    ],
-}
+_EMBEDDED_SCENARIOS = """\
+3,8,21 | y_odd  | 168 | 2:10!,3:-2,7:2 | * | p>7
+3,8,21 | y_even |  42 | 2:-2,3:-2,7:2  | * | p>7
+3,4,5  | y_odd  | 120 | 2:8!,3:2,5:2   | * | p>=5
+3,4,5  | y_even |  30 | 2:-4,3:2,5:2   | * | p>=5"""
 
 
 def scenarios(
@@ -172,8 +143,8 @@ def scenarios(
         table = load_scenarios(scenario_path)
         if key in table:
             return _build(key, table[key], db)
-    if key in _EMBEDDED_SCENARIOS:
-        return _build(key, _EMBEDDED_SCENARIOS[key], db)
+    if key in _EMBEDDED:
+        return _build(key, _EMBEDDED[key], db)
     raise UnknownEquationError(
         f"no embedded scenario data for equation {a},{b},{c}; "
         "supply a scenario file (--scenarios) describing its parity cases"
@@ -181,34 +152,30 @@ def scenarios(
 
 
 def _build(key, raw_list, db: CurveDatabase) -> list[FreyScenario]:
-    out = []
-    for raw in raw_list:
-        candidates = raw.get("candidates")
-        if candidates is None:
-            candidates = tuple(rec.label for rec in db.candidates_for_level(raw["level"]))
-        out.append(
-            FreyScenario(
-                coefficients=key,
-                parity_case=raw["parity"],
-                profile=dict(raw["profile"]),
-                lowered_level=raw["level"],
-                candidates=tuple(candidates),
-                exponent_floor=raw["floor"],
-            )
+    return [
+        FreyScenario(
+            coefficients=key,
+            parity_case=raw["parity"],
+            profile=dict(raw["profile"]),
+            lowered_level=raw["level"],
+            candidates=raw["candidates"]
+            or tuple(rec.label for rec in db.candidates_for_level(raw["level"])),
+            exponent_floor=raw["floor"],
         )
-    return out
+        for raw in raw_list
+    ]
 
 
-# ---------------------------------------------------------------------------
-# scenario files:  a,b,c | parity | level | l:v,... (v! = exact) | labels | floor
-# ---------------------------------------------------------------------------
+def _valuation_entry(text: str) -> ValuationEntry:
+    exact = text.endswith("!")
+    v = int(text[:-1] if exact else text)
+    return ValuationEntry(v, v if exact else None)
 
 
 def parse_scenario_line(line: str) -> tuple[tuple[int, int, int], dict]:
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) != 6:
-        raise ScenarioFormatError(f"expected 6 '|'-separated fields, got {len(parts)}")
-    eq_s, parity, level_s, profile_s, cand_s, floor_s = parts
+    """One parity case of one equation per line; a candidates field of
+    ``*`` stands for every curve whose conductor is the level."""
+    eq_s, parity, level_s, profile_s, cand_s, floor_s = split_fields(line, 6, ScenarioFormatError)
     try:
         eq = tuple(int(x) for x in eq_s.split(","))
     except ValueError:
@@ -221,28 +188,24 @@ def parse_scenario_line(line: str) -> tuple[tuple[int, int, int], dict]:
         level = int(level_s)
     except ValueError:
         raise ScenarioFormatError(f"bad level {level_s!r}") from None
-    profile = {}
-    for item in profile_s.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            ell_s, v_s = item.split(":")
-            exact = v_s.endswith("!")
-            v = int(v_s[:-1] if exact else v_s)
-            profile[int(ell_s)] = ValuationEntry(v, v if exact else None)
-        except ValueError:
-            raise ScenarioFormatError(f"bad profile entry {item!r}") from None
+    profile = parse_prime_map(profile_s, _valuation_entry, ScenarioFormatError, "profile")
     candidates = tuple(x.strip() for x in cand_s.split(",") if x.strip())
     if not candidates:
         raise ScenarioFormatError("scenario needs at least one candidate label")
+    if "*" in candidates:
+        if candidates != ("*",):
+            raise ScenarioFormatError("'*' stands for every candidate and takes no labels beside it")
+        candidates = None
     floor_s = floor_s.replace(" ", "")
-    if floor_s.startswith("p>="):
-        floor = ExponentFloor(strict=False, bound=int(floor_s[3:]))
-    elif floor_s.startswith("p>"):
-        floor = ExponentFloor(strict=True, bound=int(floor_s[2:]))
-    else:
-        raise ScenarioFormatError(f"bad exponent floor {floor_s!r} (use p>N or p>=N)")
+    try:
+        if floor_s.startswith("p>="):
+            floor = ExponentFloor(strict=False, bound=int(floor_s[3:]))
+        elif floor_s.startswith("p>"):
+            floor = ExponentFloor(strict=True, bound=int(floor_s[2:]))
+        else:
+            raise ValueError
+    except ValueError:
+        raise ScenarioFormatError(f"bad exponent floor {floor_s!r} (use p>N or p>=N)") from None
     return eq, {
         "parity": parity,
         "level": level,
@@ -252,11 +215,18 @@ def parse_scenario_line(line: str) -> tuple[tuple[int, int, int], dict]:
     }
 
 
-def load_scenarios(path: str) -> dict[tuple[int, int, int], list[dict]]:
+def _by_equation(parsed) -> dict[tuple[int, int, int], list[dict]]:
     table: dict[tuple[int, int, int], list[dict]] = {}
-    for eq, scenario in parse_line_file(path, parse_scenario_line, ScenarioFormatError):
+    for eq, scenario in parsed:
         table.setdefault(eq, []).append(scenario)
     return table
+
+
+def load_scenarios(path: str) -> dict[tuple[int, int, int], list[dict]]:
+    return _by_equation(parse_line_file(path, parse_scenario_line, ScenarioFormatError))
+
+
+_EMBEDDED = _by_equation(map(parse_scenario_line, _EMBEDDED_SCENARIOS.splitlines()))
 
 
 # ---------------------------------------------------------------------------

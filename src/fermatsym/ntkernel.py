@@ -128,13 +128,14 @@ _TRIAL_PRIMES = frozenset(primes_in(2, _TRIAL_LIMIT))  # 168 primes: a 1000-byte
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
-def factor_small(n: int, bound: int = TRIAL_DIVISION_BOUND) -> FactoredInt:
-    """Factor a nonzero integer by trial division up to ``bound``.
+def factor_small(n: int) -> FactoredInt:
+    """Factor a nonzero integer by trial division up to ``TRIAL_DIVISION_BOUND``.
 
-    A cofactor surviving all divisors up to ``bound`` is prime whenever it is
+    A cofactor surviving all divisors up to the bound is prime whenever it is
     at most bound**2; anything larger raises ``FactorizationError`` rather
     than returning a partial answer.
     """
+    bound = TRIAL_DIVISION_BOUND
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -161,11 +162,11 @@ def factor_small(n: int, bound: int = TRIAL_DIVISION_BOUND) -> FactoredInt:
     return FactoredInt(sign, factors)
 
 
-def squarefree_part(n: int, bound: int = TRIAL_DIVISION_BOUND) -> int:
+def squarefree_part(n: int) -> int:
     """The squarefree s with n = s * t**2 and sign(s) = sign(n)."""
     if n == 0:
         raise ValueError("0 has no squarefree part")
-    fac = factor_small(n, bound)
+    fac = factor_small(n)
     s = fac.sign
     for p, e in fac.factors.items():
         if e % 2 == 1:

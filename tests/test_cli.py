@@ -446,6 +446,41 @@ class TestOverridesPlumbing:
         code, doc, _ = run_json(capsys, schema, "curve", "99z2")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("x0 | 0 | 1 | 3:2 | mult | false | [0,0,0,0,1]", "conductor must be at least 1"),
+            ("x1 | 11 | 1 | 11:1 | mult | false | [0,0,0,0,0]", "model [0,0,0,0,0] has discriminant 0"),
+        ],
+        ids=["conductor_0", "singular_model"],
+    )
+    def test_refused_record_exit_2(self, capsys, tmp_path, line, message):
+        path = tmp_path / "curves.txt"
+        path.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "curve", line.split()[0], "--overrides", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("local", "--eq", "3,4,5", "--p", "5", "--ell", "11"),
+            ("obstruct", "--eq", "3,4,5", "--p", "5"),
+            ("sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "40"),
+            ("density", "(2)=1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overrides_only_where_curves_are_read(self, capsys, tmp_path, argv):
+        path = tmp_path / "curves.txt"
+        path.write_text("99z1 | 99 | -1 | 3:2,11:1 | mult | false | -\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--overrides", str(path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --overrides" in capsys.readouterr().err
+
     def test_missing_override_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "curve", "168a1", "--overrides", "/nonexistent/zzz")
         assert code == 2

@@ -4,6 +4,7 @@ import pytest
 
 from fermatsym.curvedb import (
     CurveDatabase,
+    CurveRecord,
     OverrideFormatError,
     UnknownLabelError,
     UnknownLevelError,
@@ -11,10 +12,39 @@ from fermatsym.curvedb import (
     parse_override_line,
     verify,
 )
-from fermatsym.ecmodel import ReductionKind
+from fermatsym.ecmodel import ReductionKind, ReductionType, WeierstrassModel
+
+_MULT = ReductionType(ReductionKind.MULTIPLICATIVE, potentially_good=False)
+_ADD_PG = ReductionType(ReductionKind.ADDITIVE, potentially_good=True)
+
+# The embedded records as Python literals, the form they had before they
+# became override lines: a typo in a line must fail here.
+REFERENCE = [
+    CurveRecord("42a1", 42, -1, {2: 8, 3: 2, 7: 1}, {2: _MULT, 3: _MULT, 7: _MULT}, False,
+                WeierstrassModel(1, 1, 1, -4, 5)),
+    CurveRecord("30a1", 30, -1, {2: 4, 3: 3, 5: 1}, {2: _MULT, 3: _MULT, 5: _MULT}, False,
+                WeierstrassModel(1, 0, 1, 1, 2)),
+    CurveRecord("168a1", 168, 1, {2: 4, 3: 1, 7: 1}, {2: _ADD_PG, 3: _MULT, 7: _MULT}, True,
+                WeierstrassModel(0, 1, 0, -7, -10)),
+    CurveRecord("168b1", 168, -1, {2: 4, 3: 3, 7: 4}, {2: _ADD_PG, 3: _MULT, 7: _MULT}, True,
+                WeierstrassModel(0, -1, 0, -7, 52)),
+    CurveRecord("120a1", 120, 1, {2: 4, 3: 2, 5: 1}, {2: _ADD_PG, 3: _MULT, 5: _MULT}, True,
+                WeierstrassModel(0, 1, 0, -15, 18)),
+    CurveRecord("120b1", 120, -1, {2: 8, 3: 1, 5: 1}, {2: _ADD_PG, 3: _MULT, 5: _MULT}, True,
+                WeierstrassModel(0, 1, 0, 4, 0)),
+]
 
 
 class TestGet:
+    @pytest.mark.parametrize("ref", REFERENCE, ids=lambda r: r.label)
+    def test_embedded_record_equals_the_reference(self, ref):
+        rec = CurveDatabase().get(ref.label)
+        for name in CurveRecord.__dataclass_fields__:
+            assert getattr(rec, name) == getattr(ref, name), name
+
+    def test_labels(self):
+        assert CurveDatabase().labels() == sorted(r.label for r in REFERENCE)
+
     def test_168a1(self):
         rec = CurveDatabase().get("168a1")
         assert rec.disc_sign == 1
@@ -60,6 +90,18 @@ class TestCandidatesForLevel:
     def test_unknown_level(self):
         with pytest.raises(UnknownLevelError):
             CurveDatabase().candidates_for_level(31)
+
+    def test_override_moves_an_embedded_label_to_its_conductor(self):
+        moved = parse_override_line("42a1 | 99 | -1 | 3:2,11:1 | mult | false | -")
+        db = CurveDatabase({"42a1": moved})
+        assert db.candidates_for_level(99) == [moved]
+        with pytest.raises(UnknownLevelError):
+            db.candidates_for_level(42)
+
+    def test_override_at_an_embedded_level_comes_last(self):
+        extra = parse_override_line("168z1 | 168 | 1 | 2:4,3:1,7:1 | addpg | true | -")
+        db = CurveDatabase({"168z1": extra})
+        assert [r.label for r in db.candidates_for_level(168)] == ["168a1", "168b1", "168z1"]
 
 
 class TestVerify:
@@ -140,6 +182,8 @@ class TestOverrides:
             "x | 99 | -1 | 3:2 | mult | false | [1,2,3]",
             "x | 99 | -1 | 3:2 | mult | true | -",
             "x | 120 | -1 | 2:8,3:1,5:1 | add | true | -",
+            "x0 | 0 | 1 | 3:2 | mult | false | [0,0,0,0,1]",
+            "x1 | 11 | 1 | 11:1 | mult | false | [0,0,0,0,0]",
         ],
     )
     def test_format_errors(self, line):

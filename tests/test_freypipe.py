@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fermatsym.curvedb import CurveDatabase, load_overrides
+from fermatsym.curvedb import CurveDatabase, load_overrides, parse_override_line
 from fermatsym.freypipe import (
     CriterionError,
     ExponentFloor,
@@ -29,7 +29,58 @@ from fermatsym.symplectic import QRConstraint, SymplecticType
 from helpers import decisive_kernels
 
 
+def _entry(residue: int, exact: bool = False) -> ValuationEntry:
+    return ValuationEntry(residue, residue if exact else None)
+
+
+# The built-in scenarios as Python literals, the form they had before they
+# became scenario lines: a typo in a line must fail here.
+REFERENCE = {
+    (3, 8, 21): [
+        {
+            "parity": "y_odd",
+            "level": 168,
+            "profile": {2: _entry(10, exact=True), 3: _entry(-2), 7: _entry(2)},
+            "floor": ExponentFloor(strict=True, bound=7),
+        },
+        {
+            "parity": "y_even",
+            "level": 42,
+            "profile": {2: _entry(-2), 3: _entry(-2), 7: _entry(2)},
+            "floor": ExponentFloor(strict=True, bound=7),
+        },
+    ],
+    (3, 4, 5): [
+        {
+            "parity": "y_odd",
+            "level": 120,
+            "profile": {2: _entry(8, exact=True), 3: _entry(2), 5: _entry(2)},
+            "floor": ExponentFloor(strict=False, bound=5),
+        },
+        {
+            "parity": "y_even",
+            "level": 30,
+            "profile": {2: _entry(-4), 3: _entry(2), 5: _entry(2)},
+            "floor": ExponentFloor(strict=False, bound=5),
+        },
+    ],
+}
+LEVEL_LABELS = {168: ("168a1", "168b1"), 42: ("42a1",), 120: ("120a1", "120b1"), 30: ("30a1",)}
+
+
 class TestScenarios:
+    @pytest.mark.parametrize("eq", sorted(REFERENCE))
+    def test_built_in_scenarios_equal_the_reference(self, eq):
+        built = scenarios(*eq)
+        assert len(built) == len(REFERENCE[eq])
+        for scen, ref in zip(built, REFERENCE[eq]):
+            assert scen.coefficients == eq
+            assert scen.parity_case == ref["parity"]
+            assert scen.lowered_level == ref["level"]
+            assert scen.profile == ref["profile"]
+            assert scen.candidates == LEVEL_LABELS[ref["level"]]
+            assert scen.exponent_floor == ref["floor"]
+
     def test_eq1_y_odd_has_exact_v2(self):
         y_odd, y_even = scenarios(3, 8, 21)
         assert y_odd.parity_case == "y_odd"
@@ -233,6 +284,8 @@ class TestScenarioFiles:
             "3,8,21 | y_odd | 168 | 2:ten | 168a1 | p>7",
             "3,8,21 | y_odd | 168 | 2:10! |  | p>7",
             "3,8,21 | y_odd | 168 | 2:10! | 168a1 | p<7",
+            "3,8,21 | y_odd | 168 | 2:10! | 168a1 | p>x",
+            "3,8,21 | y_odd | 168 | 2:10! | 168a1,* | p>7",
         ],
     )
     def test_parse_errors(self, line):
@@ -250,6 +303,17 @@ class TestScenarioFiles:
         report = run_equation(1, 1, 1, db=db, scenario_path=str(scenario))
         assert report.classes.residues == frozenset()
         assert report.density == 0
+
+    def test_star_takes_every_curve_at_the_level_overrides_included(self, tmp_path):
+        db = CurveDatabase({"77z2": parse_override_line("77z2 | 77 | 1 | 7:1,11:1 | mult | false | -")})
+        scenario = tmp_path / "scen.txt"
+        scenario.write_text("1,1,1 | y_odd | 77 | 7:3,11:5 | * | p>=5\n")
+        (scen,) = scenarios(1, 1, 1, db=db, scenario_path=str(scenario))
+        assert scen.candidates == ("77z2",)
+        assert parse_scenario_line("1,1,1 | y_odd | 77 | 7:3 | * | p>=5")[1]["candidates"] is None
+        extra = parse_override_line("168z1 | 168 | 1 | 2:4,3:1,7:1 | addpg | true | -")
+        y_odd = scenarios(3, 8, 21, db=CurveDatabase({"168z1": extra}))[0]
+        assert y_odd.candidates == ("168a1", "168b1", "168z1")
 
     def test_embedded_equation_still_works_with_scenario_file(self, tmp_path):
         scenario = tmp_path / "scen.txt"

@@ -260,13 +260,15 @@ class TestFactorSmall:
         with pytest.raises(ValueError):
             factor_small(0)
 
-    def test_fails_hard_beyond_bound(self):
+    def test_fails_hard_beyond_bound(self, monkeypatch):
         # 10007 * 10009 has no factor below 100 and exceeds 100^2
+        monkeypatch.setattr("fermatsym.ntkernel.TRIAL_DIVISION_BOUND", 100)
         with pytest.raises(FactorizationError):
-            factor_small(10007 * 10009, bound=100)
+            factor_small(10007 * 10009)
 
-    def test_prime_cofactor_within_bound_squared_is_accepted(self):
-        f = factor_small(2 * 9973, bound=100)
+    def test_prime_cofactor_within_bound_squared_is_accepted(self, monkeypatch):
+        monkeypatch.setattr("fermatsym.ntkernel.TRIAL_DIVISION_BOUND", 100)
+        f = factor_small(2 * 9973)
         assert f.factors == {2: 1, 9973: 1}
 
     def test_str(self):
