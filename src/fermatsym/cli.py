@@ -2,8 +2,10 @@
 
 Six subcommands wrap the library pipelines with reproducible text and JSON
 output: identical inputs give byte-identical JSON except for elapsed_ms
-fields.  Exit codes: 0 success, 1 when undecided results are present,
-2 for usage or data errors.
+fields.  Each command builds its answer once, as the JSON document; the text
+output is rendered from that document, and only without --json.  Exit
+codes: 0 success, 1 when undecided results are present, 2 for usage or data
+errors.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def _database(args) -> CurveDatabase:
     return CurveDatabase(overrides)
 
 
-def _emit(args, document: dict, text: str) -> None:
-    print(_json(document) if args.json else text)
+def _emit(args, document: dict, render) -> None:
+    print(_json(document) if args.json else render(document))
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -104,8 +106,7 @@ def _dumps(value, separator: str = ",") -> str:
     return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(separator, ": "))
 
 
-def _classes_json(classes: qrsolver.CongruenceClassSet) -> dict:
-    dens = qrsolver.density(classes)
+def _classes_json(classes: qrsolver.CongruenceClassSet, dens) -> dict:
     return {
         "modulus": classes.modulus,
         "residues": classes.sorted_residues(),
@@ -166,44 +167,40 @@ def _equation_report_json(report: EquationReport) -> dict:
         "equation": list(report.equation),
         "exponent_floor": str(report.exponent_floor),
         "cases": cases,
-        "classes": _classes_json(report.classes),
-        "congruences": report.congruence_text(),
+        "classes": _classes_json(report.classes, dens),
+        "congruences": str(report.classes),
         "density": f"{dens.numerator}/{dens.denominator}",
     }
-
-
-def _equation_report_text(report: EquationReport) -> str:
-    a, b, c = report.equation
-    dens = report.density
-    lines = [
-        f"equation {a}*x^p + {b}*y^p + {c}*z^p = 0",
-        f"no nontrivial solutions for {report.congruence_text()}",
-        f"density {dens.numerator}/{dens.denominator}; valid for {report.exponent_floor}",
-    ]
-    for scen_report in report.scenarios:
-        scen = scen_report.scenario
-        lines.append(f"  case {scen.parity_case}: level {scen.lowered_level}")
-        for case in scen_report.cases:
-            lines.append(
-                f"    vs {case.candidate} [{case.route}]: eliminated when "
-                f"{qrsolver.pretty(case.elimination)}"
-            )
-            for sub in case.subcases:
-                if sub.legendre_2_p is not None:
-                    branch = f"(2/p)={'+1' if sub.legendre_2_p == 1 else '-1'}"
-                    detail = ", ".join(
-                        f"{s.status}{f' {s.kernel}' if s.kernel else ''} at {s.primes[0]}"
-                        for s in sub.steps
-                    )
-                    lines.append(f"      {branch}: {sub.symplectic.value}; {detail}")
-    return "\n".join(lines)
 
 
 def cmd_analyze(args) -> int:
     a, b, c = _parse_equation(args.eq)
     report = run_equation(a, b, c, _database(args), args.scenarios)
-    _emit(args, _equation_report_json(report), _equation_report_text(report))
+    _emit(args, _equation_report_json(report), _analyze_text)
     return EXIT_OK
+
+
+def _analyze_text(doc: dict) -> str:
+    a, b, c = doc["equation"]
+    lines = [
+        f"equation {a}*x^p + {b}*y^p + {c}*z^p = 0",
+        f"no nontrivial solutions for {doc['congruences']}",
+        f"density {doc['density']}; valid for {doc['exponent_floor']}",
+    ]
+    for case in doc["cases"]:
+        lines.append(f"  case {case['parity']}: level {case['level']}")
+        for cond in case["conditions"]:
+            lines.append(
+                f"    vs {cond['candidate']} [{cond['route']}]: eliminated when {cond['elimination']}"
+            )
+            for sub in cond["subcases"]:
+                if sub["legendre_2_p"] is not None:
+                    detail = ", ".join(
+                        s["status"] + (f" {s['kernel']}" if s["kernel"] else "") + f" at {s['primes'][0]}"
+                        for s in sub["steps"]
+                    )
+                    lines.append(f"      (2/p)={sub['legendre_2_p']:+d}: {sub['symplectic']}; {detail}")
+    return "\n".join(lines)
 
 
 def cmd_local(args) -> int:
@@ -226,11 +223,16 @@ def cmd_local(args) -> int:
         "witness": witness,
         "method": "hensel_descent",
     }
-    text = f"{a}*x^{args.p} + {b}*y^{args.p} + {c}*z^{args.p} = 0 over Q_{args.ell}: {res.status}"
-    if witness:
-        text += f" (witness {res.witness.triple} mod {args.ell}^{res.witness.level})"
-    _emit(args, doc, text)
+    _emit(args, doc, _local_text)
     return EXIT_UNDECIDED if res.status == "undecided" else EXIT_OK
+
+
+def _local_text(doc: dict) -> str:
+    (a, b, c), p, ell, witness = doc["equation"], doc["p"], doc["ell"], doc["witness"]
+    text = f"{a}*x^{p} + {b}*y^{p} + {c}*z^{p} = 0 over Q_{ell}: {doc['status']}"
+    if witness:
+        text += f" (witness {tuple(witness['triple'])} mod {ell}^{witness['level']})"
+    return text
 
 
 def cmd_obstruct(args) -> int:
@@ -250,18 +252,22 @@ def cmd_obstruct(args) -> int:
         "undecided": list(res.undecided),
         "elapsed_ms": elapsed_ms,
     }
-    if res.obstruction is not None:
-        text = f"p={args.p}: local obstruction at {res.obstruction} ({res.method})"
-    elif res.certified:
-        text = f"p={args.p}: no local obstruction (certified; cutoff {res.cutoff})"
-    else:
-        text = f"p={args.p}: none found up to k_max={args.kmax} (not certified)"
-        if res.undecided:
-            text += f"; undecided at {list(res.undecided)}"
-    _emit(args, doc, text)
+    _emit(args, doc, lambda doc: _obstruct_text(doc, args.kmax))
     if res.obstruction is None and not res.certified:
         return EXIT_UNDECIDED
     return EXIT_OK
+
+
+def _obstruct_text(doc: dict, k_max: int) -> str:
+    """The verdict line; k_max is the scan depth, which the document omits."""
+    if doc["obstruction"] is not None:
+        return f"p={doc['p']}: local obstruction at {doc['obstruction']} ({doc['method']})"
+    if doc["certified"]:
+        return f"p={doc['p']}: no local obstruction (certified; cutoff {doc['cutoff']})"
+    text = f"p={doc['p']}: none found up to k_max={k_max} (not certified)"
+    if doc["undecided"]:
+        text += f"; undecided at {doc['undecided']}"
+    return text
 
 
 def cmd_sweep(args) -> int:
@@ -286,17 +292,18 @@ def cmd_sweep(args) -> int:
             for e in entries
         ],
     }
-    misses = [e.p for e in entries if e.obstruction is None]
-    _emit(args, doc, "" if args.json else _sweep_table(entries, misses))
-    return EXIT_UNDECIDED if misses else EXIT_OK
+    _emit(args, doc, _sweep_text)
+    return EXIT_UNDECIDED if any(e.obstruction is None for e in entries) else EXIT_OK
 
 
-def _sweep_table(entries, misses) -> str:
+def _sweep_text(doc: dict) -> str:
+    entries = doc["entries"]
+    misses = [e["p"] for e in entries if e["obstruction"] is None]
     lines = [f"{'p':>8} {'q':>10} {'k':>5}"]
     for e in entries:
-        q = e.obstruction if e.obstruction is not None else "-"
-        k = e.k if e.k is not None else "-"
-        lines.append(f"{e.p:>8} {q:>10} {k:>5}")
+        q = e["obstruction"] if e["obstruction"] is not None else "-"
+        k = e["k"] if e["k"] is not None else "-"
+        lines.append(f"{e['p']:>8} {q:>10} {k:>5}")
     lines.append(
         f"# {len(entries)} primes, {len(entries) - len(misses)} with obstructions"
         + (f", none found for {misses}" if misses else "")
@@ -315,11 +322,11 @@ def cmd_density(args) -> int:
         "command": "density",
         "expression": args.expression,
         "normalized": qrsolver.pretty(expr),
-        "classes": _classes_json(classes),
+        "classes": _classes_json(classes, dens),
         "congruences": str(classes),
         "density": f"{dens.numerator}/{dens.denominator}",
     }
-    _emit(args, doc, f"{classes}; density {dens.numerator}/{dens.denominator}")
+    _emit(args, doc, lambda doc: f"{doc['congruences']}; density {doc['density']}")
     return EXIT_OK
 
 
@@ -340,18 +347,20 @@ def cmd_curve(args) -> int:
         "model": list(record.model.coefficients()) if record.model else None,
         "verification": {"status": report.status, "mismatches": list(report.mismatches)},
     }
-    disc = " * ".join(
-        f"{ell}^{v}" if v > 1 else str(ell) for ell, v in sorted(record.disc_valuations.items())
-    )
-    sign = "-" if record.disc_sign < 0 else ""
-    text = (
-        f"{record.label}: conductor {record.conductor}, minimal discriminant {sign}{disc}, "
-        f"model {record.model if record.model else '(none)'}; verification: {report.status}"
-    )
-    if report.mismatches:
-        text += "\n  " + "\n  ".join(report.mismatches)
-    _emit(args, doc, text)
+    _emit(args, doc, _curve_text)
     return EXIT_OK if report.status != "mismatch" else EXIT_ERROR
+
+
+def _curve_text(doc: dict) -> str:
+    disc = " * ".join(f"{ell}^{v}" if v > 1 else ell for ell, v in doc["disc_valuations"].items())
+    sign = "-" if doc["disc_sign"] < 0 else ""
+    model = "[" + ",".join(map(str, doc["model"])) + "]" if doc["model"] else "(none)"
+    check = doc["verification"]
+    head = (
+        f"{doc['label']}: conductor {doc['conductor']}, minimal discriminant {sign}{disc}, "
+        f"model {model}; verification: {check['status']}"
+    )
+    return "\n  ".join([head, *check["mismatches"]])
 
 
 def build_parser() -> argparse.ArgumentParser:

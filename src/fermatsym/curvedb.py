@@ -23,7 +23,7 @@ from .ecmodel import (
     minimal_model,
     reduction_type,
 )
-from .ntkernel import factor_small
+from .ntkernel import FactorizationError, factor_small, is_prime
 
 
 # label | conductor | sign | l:v,... | red2 | sl2f3 | model  (parse_override_line)
@@ -72,10 +72,6 @@ class VerificationReport:
     status: str  # "verified" | "mismatch" | "unverifiable"
     mismatches: tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "verified"
-
 
 class CurveDatabase:
     """Embedded records plus optional user overrides; immutable after load."""
@@ -94,9 +90,6 @@ class CurveDatabase:
         if not found:
             raise UnknownLevelError(f"no candidate curves for level {level}")
         return found
-
-    def labels(self) -> list[str]:
-        return sorted(self._records)
 
 
 def verify(record: CurveRecord) -> VerificationReport:
@@ -160,7 +153,8 @@ def split_fields(line: str, count: int, error: type[ValueError]) -> list[str]:
 
 
 def parse_prime_map(text: str, convert, error: type[ValueError], what: str) -> dict:
-    """{ell: convert(v)} from 'ell:v,ell:v,...'; empty entries are skipped."""
+    """{ell: convert(v)} from 'ell:v,ell:v,...'; empty entries are skipped,
+    and each ell must be a prime."""
     out = {}
     for item in text.split(","):
         item = item.strip()
@@ -168,9 +162,16 @@ def parse_prime_map(text: str, convert, error: type[ValueError], what: str) -> d
             continue
         try:
             ell_s, v_s = item.split(":")
-            out[int(ell_s)] = convert(v_s)
+            ell, value = int(ell_s), convert(v_s)
         except ValueError:
             raise error(f"bad {what} entry {item!r}") from None
+        try:
+            prime = ell >= 2 and is_prime(ell)
+        except FactorizationError as e:
+            raise error(f"bad {what} entry {item!r}: {e}") from None
+        if not prime:
+            raise error(f"bad {what} entry {item!r}: {ell} is not prime")
+        out[ell] = value
     return out
 
 
@@ -181,8 +182,8 @@ def parse_override_line(line: str) -> CurveRecord:
 
     red2 is one of good/mult/add/addpg; reduction at odd primes with positive
     valuation defaults to multiplicative.  sl2f3 is true/false.  The model is
-    optional: use ``-`` to omit it.  The conductor must be at least 1 and the
-    model nonsingular.
+    optional: use ``-`` to omit it.  The conductor must be at least 1, each l
+    a prime, and the model nonsingular.
     """
     label, cond_s, sign_s, vals_s, red2_s, sl2f3_s, model_s = split_fields(
         line, 7, OverrideFormatError

@@ -114,9 +114,6 @@ class EquationReport:
     density: Fraction
     exponent_floor: ExponentFloor
 
-    def congruence_text(self) -> str:
-        return str(self.classes)
-
 
 # ---------------------------------------------------------------------------
 # scenarios:  a,b,c | parity | level | l:v,... (v! = exact) | labels or * | floor
@@ -317,7 +314,7 @@ def _pairwise_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
     pairs = [(l1, l2) for i, l1 in enumerate(shared) for l2 in shared[i + 1 :]]
     simplified = qrsolver.simplify(raw)
     steps = []
-    if simplified is qrsolver.CONTRADICTION:
+    if simplified is None:
         for (l1, l2), kernel in zip(pairs, raw):
             steps.append(ConstraintStep((l1, l2), kernel, None, "contradiction"))
         subcase = SubCase(None, SymplecticType.UNKNOWN, tuple(steps), True)

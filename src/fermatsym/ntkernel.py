@@ -44,17 +44,6 @@ class FactoredInt:
     sign: int
     factors: dict[int, int] = field(default_factory=dict)
 
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors.items():
-            n *= p**e
-        return n
-
-    def __str__(self) -> str:
-        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(self.factors.items())]
-        body = " * ".join(parts) if parts else "1"
-        return body if self.sign > 0 else f"-{body}"
-
 
 def jacobi(n: int, m: int) -> int:
     """Jacobi symbol (n/m) for odd positive m; the Legendre symbol when m is prime."""

@@ -423,25 +423,8 @@ def decompose(classes: CongruenceClassSet) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-class Contradiction:
-    """Sentinel result: the constraint set is unsatisfiable."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Contradiction"
-
-
-CONTRADICTION = Contradiction()
-
-
-def simplify(constraints: list[QRConstraint]) -> list[QRConstraint] | Contradiction:
-    """Minimal equivalent constraint set, or the contradiction sentinel.
+def simplify(constraints: list[QRConstraint]) -> list[QRConstraint] | None:
+    """Minimal equivalent constraint set, or None when it is unsatisfiable.
 
     Constraints are F_2-linear in the character vectors of their kernels
     (``_support``), so multiplicatively implied members are exactly the
@@ -464,7 +447,7 @@ def simplify(constraints: list[QRConstraint]) -> list[QRConstraint] | Contradict
             # c's kernel is a product of kept kernels (times a square), whose
             # symbols multiply to `sign`
             if sign != c.sign:
-                return CONTRADICTION
+                return None
             continue
         pivots[min(vec)] = (vec, c.sign * sign)
         kept.append(c)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fermatsym import cli
+from fermatsym import cli, qrsolver
 from fermatsym.localobs import KMAX_BOUND, Witness, check_witness
 from fermatsym.qrsolver import NESTING_BOUND
 
@@ -463,6 +463,22 @@ class TestOverridesPlumbing:
         assert f"{path}:1: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ell", ["0", "1", "4", "-3"])
+    def test_non_prime_ell_exit_2(self, capsys, tmp_path, ell):
+        curves = tmp_path / "curves.txt"
+        curves.write_text(f"z1 | 7 | 1 | {ell}:1,7:1 | mult | false | -\n")
+        scenario = tmp_path / "scen.txt"
+        scenario.write_text(f"1,1,1 | y_odd | 7 | {ell}:1,7:1 | z1 | p>5\n")
+        for argv, path in (
+            (("curve", "z1", "--overrides", str(curves)), curves),
+            (("analyze", "--eq", "1,1,1", "--scenarios", str(scenario)), scenario),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert f"{path}:1: bad " in err and f"{ell} is not prime" in err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -496,6 +512,138 @@ class TestOverridesPlumbing:
         assert out == ""
         assert f"{path}: not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+# The full text output of each command.  The text is rendered from the same
+# document --json prints, so these pin both the renderers and the facts.
+TEXT_PINS = {
+    "analyze_3_8_21": (
+        ["analyze", "--eq", "3,8,21"], 0,
+        """\
+equation 3*x^p + 8*y^p + 21*z^p = 0
+no nontrivial solutions for p ≡ 5 (mod 8) or p ≡ 23 (mod 24)
+density 3/8; valid for p > 7
+  case y_odd: level 168
+    vs 168a1 [inertia_at_two]: eliminated when (2)=-1 | (2)=+1 & (-1)=-1
+      (2/p)=-1: symplectic; pending (-2)=+1 at 3, violated (2)=+1 at 7
+      (2/p)=+1: symplectic; pending (-2)=+1 at 3, vacuous (2)=+1 at 7
+    vs 168b1 [inertia_at_two]: eliminated when (2)=-1 | (2)=+1 & (-3)=-1
+      (2/p)=-1: symplectic; pending (-6)=+1 at 3, violated (2)=+1 at 7
+      (2/p)=+1: symplectic; pending (-6)=+1 at 3, vacuous (2)=+1 at 7
+  case y_even: level 42
+    vs 42a1 [pairwise]: eliminated when (-2)=-1
+""",
+    ),
+    "analyze_3_4_5": (
+        ["analyze", "--eq", "3,4,5"], 0,
+        """\
+equation 3*x^p + 4*y^p + 5*z^p = 0
+no nontrivial solutions for p ≡ 5 (mod 8) or p ≡ 19 (mod 24)
+density 3/8; valid for p ≥ 5
+  case y_odd: level 120
+    vs 120a1 [inertia_at_two]: eliminated when (2)=-1
+      (2/p)=-1: anti-symplectic; contradiction at 3, vacuous (2)=-1 at 5
+      (2/p)=+1: symplectic; vacuous (1)=+1 at 3, vacuous (2)=+1 at 5
+    vs 120b1 [inertia_at_two]: eliminated when (2)=-1
+      (2/p)=-1: symplectic; violated (2)=+1 at 3, violated (2)=+1 at 5
+      (2/p)=+1: symplectic; vacuous (2)=+1 at 3, vacuous (2)=+1 at 5
+  case y_even: level 30
+    vs 30a1 [pairwise]: eliminated when (-2)=-1 | (3)=-1
+""",
+    ),
+    "local_unsolvable": (
+        ["local", "--eq", "3,4,5", "--p", "5", "--ell", "11"], 0,
+        "3*x^5 + 4*y^5 + 5*z^5 = 0 over Q_11: unsolvable\n",
+    ),
+    "local_good_prime_witness": (
+        ["local", "--eq", "1,1,2", "--p", "3", "--ell", "7"], 0,
+        "1*x^3 + 1*y^3 + 2*z^3 = 0 over Q_7: solvable (witness (6, 1, 0) mod 7^1)\n",
+    ),
+    "local_bad_prime_witness": (
+        ["local", "--eq", "3,4,5", "--p", "3", "--ell", "3"], 0,
+        "3*x^3 + 4*y^3 + 5*z^3 = 0 over Q_3: solvable (witness (0, 25, 1) mod 3^3)\n",
+    ),
+    "obstruct_found": (
+        ["obstruct", "--eq", "3,4,5", "--p", "5"], 0,
+        "p=5: local obstruction at 11 (fast_subgroup)\n",
+    ),
+    "obstruct_certified": (
+        ["obstruct", "--eq", "3,8,21", "--p", "7"], 0,
+        "p=7: no local obstruction (certified; cutoff 900)\n",
+    ),
+    "obstruct_not_certified_undecided": (
+        ["obstruct", "--eq", "3,4,5", "--p", "1000003", "--kmax", "2"], 1,
+        "p=1000003: none found up to k_max=2 (not certified); undecided at [1000003]\n",
+    ),
+    "sweep_misses": (
+        ["sweep", "--eq", "1,1,1", "--pmin", "11", "--pmax", "60"], 1,
+        "       p          q     k\n"
+        + "".join(f"{p:>8}          -     -\n" for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59))
+        + "# 13 primes, 0 with obstructions, none found for "
+        "[11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]\n",
+    ),
+    "sweep_obstructions": (
+        ["sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "30"], 0,
+        """\
+       p          q     k
+      11         23     2
+      13         53     4
+      17        103     6
+      19        229    12
+      23         47     2
+      29         59     2
+# 6 primes, 6 with obstructions
+""",
+    ),
+    "density": (["density", "(-2)=-1 & (2)=-1"], 0, "p ≡ 5 (mod 8); density 1/4\n"),
+    "density_all_p": (["density", "(2)=1 | (2)=-1"], 0, "all p; density 1/1\n"),
+    "density_empty": (["density", "(2)=1 & (2)=-1"], 0, "no classes (empty set); density 0/1\n"),
+    "curve_verified": (
+        ["curve", "120b1"], 0,
+        "120b1: conductor 120, minimal discriminant -2^8 * 3 * 5, model [0,1,0,4,0]; "
+        "verification: verified\n",
+    ),
+    "curve_no_model": (
+        ["curve", "42z1", "--overrides", "CURVES"], 0,
+        "42z1: conductor 42, minimal discriminant -2^8 * 3^2 * 7, model (none); "
+        "verification: unverifiable\n",
+    ),
+    "curve_mismatches": (
+        ["curve", "42z2", "--overrides", "CURVES"], 2,
+        "42z2: conductor 42, minimal discriminant 2^8 * 3^2 * 7^2, model [1,1,1,-4,5]; "
+        "verification: mismatch\n"
+        "  disc sign: model gives -1, record claims 1\n"
+        "  disc valuations: model gives {2: 8, 3: 2, 7: 1}, record claims {2: 8, 3: 2, 7: 2}\n",
+    ),
+}
+
+
+class TestTextOutput:
+    @pytest.mark.parametrize("name", TEXT_PINS)
+    def test_full_text_is_pinned(self, capsys, tmp_path, name):
+        argv, want_code, want_out = TEXT_PINS[name]
+        curves = tmp_path / "curves.txt"
+        curves.write_text(
+            "42z1 | 42 | -1 | 2:8,3:2,7:1 | mult | false | -\n"
+            "42z2 | 42 | 1 | 2:8,3:2,7:2 | mult | false | [1,1,1,-4,5]\n"
+        )
+        argv = [str(curves) if arg == "CURVES" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (want_code, want_out, "")
+
+    @pytest.mark.parametrize(
+        "argv", [("analyze", "--eq", "3,8,21"), ("analyze", "--eq", "3,4,5"), ("density", "(-2)=-1 & (5)=1")]
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_decompose_runs_once(self, capsys, monkeypatch, argv, json_flag):
+        # the congruences are worked out once, for the document, and the
+        # text is read off it
+        calls = []
+        decompose = qrsolver.decompose
+        monkeypatch.setattr(qrsolver, "decompose", lambda classes: calls.append(classes) or decompose(classes))
+        code, _, _ = run_cli(capsys, *argv, *json_flag)
+        assert code == 0
+        assert len(calls) == 1
 
 
 # strings with the characters the writer's separators are made of

@@ -14,6 +14,8 @@ from fermatsym.curvedb import (
 )
 from fermatsym.ecmodel import ReductionKind, ReductionType, WeierstrassModel
 
+from helpers import labels, verified
+
 _MULT = ReductionType(ReductionKind.MULTIPLICATIVE, potentially_good=False)
 _ADD_PG = ReductionType(ReductionKind.ADDITIVE, potentially_good=True)
 
@@ -43,7 +45,7 @@ class TestGet:
             assert getattr(rec, name) == getattr(ref, name), name
 
     def test_labels(self):
-        assert CurveDatabase().labels() == sorted(r.label for r in REFERENCE)
+        assert labels(CurveDatabase()) == sorted(r.label for r in REFERENCE)
 
     def test_168a1(self):
         rec = CurveDatabase().get("168a1")
@@ -107,9 +109,9 @@ class TestCandidatesForLevel:
 class TestVerify:
     def test_every_embedded_record_verifies(self):
         db = CurveDatabase()
-        for label in db.labels():
+        for label in labels(db):
             report = verify(db.get(label))
-            assert report.ok, (label, report.mismatches)
+            assert verified(report), (label, report.mismatches)
 
     def test_corrupted_valuation_detected(self):
         rec = CurveDatabase().get("168a1")
@@ -128,7 +130,7 @@ class TestVerify:
         rec = replace(CurveDatabase().get("168a1"), model=None)
         report = verify(rec)
         assert report.status == "unverifiable"
-        assert not report.ok
+        assert not verified(report)
 
     def test_sl2f3_records_are_additive_potentially_good_at_2(self):
         for label in ("168a1", "168b1", "120a1", "120b1"):
@@ -153,7 +155,7 @@ class TestOverrides:
     def test_parse_line_with_model(self):
         rec = parse_override_line("42x1 | 42 | -1 | 2:8,3:2,7:1 | mult | false | [1,1,1,-4,5]")
         assert rec.model is not None
-        assert verify(rec).ok
+        assert verified(verify(rec))
 
     def test_parse_sl2f3_line(self):
         rec = parse_override_line("120x1 | 120 | 1 | 2:4,3:2,5:1 | addpg | true | -")
@@ -184,6 +186,11 @@ class TestOverrides:
             "x | 120 | -1 | 2:8,3:1,5:1 | add | true | -",
             "x0 | 0 | 1 | 3:2 | mult | false | [0,0,0,0,1]",
             "x1 | 11 | 1 | 11:1 | mult | false | [0,0,0,0,0]",
+            "z1 | 7 | 1 | 0:1,7:1 | mult | false | -",
+            "z1 | 7 | 1 | 1:1,7:1 | mult | false | -",
+            "z1 | 7 | 1 | 4:1,7:1 | mult | false | -",
+            "z1 | 7 | 1 | -3:1,7:1 | mult | false | -",
+            "z1 | 7 | 1 | 3317044064679887385961981:1,7:1 | mult | false | -",  # psi_13
         ],
     )
     def test_format_errors(self, line):

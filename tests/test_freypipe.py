@@ -286,6 +286,11 @@ class TestScenarioFiles:
             "3,8,21 | y_odd | 168 | 2:10! | 168a1 | p<7",
             "3,8,21 | y_odd | 168 | 2:10! | 168a1 | p>x",
             "3,8,21 | y_odd | 168 | 2:10! | 168a1,* | p>7",
+            "1,1,1 | y_odd | 7 | 0:1,7:1 | z1 | p>5",
+            "1,1,1 | y_odd | 7 | 1:1,7:1 | z1 | p>5",
+            "1,1,1 | y_odd | 7 | 4:1,7:1 | z1 | p>5",
+            "1,1,1 | y_odd | 7 | -3:1,7:1 | z1 | p>5",
+            "1,1,1 | y_odd | 7 | 3317044064679887385961981:1,7:1 | z1 | p>5",  # psi_13
         ],
     )
     def test_parse_errors(self, line):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fermatsym.ntkernel import factor_small, jacobi, primes_in
 from fermatsym.qrsolver import (
     CLASS_BOUND,
-    CONTRADICTION,
     FALSE,
     TRUE,
     And,
@@ -286,18 +285,18 @@ class TestSimplify:
         assert out == [QRConstraint(-1, 1), QRConstraint(6, 1)]
 
     def test_direct_contradiction(self):
-        assert simplify([QRConstraint(2, 1), QRConstraint(2, -1)]) is CONTRADICTION
+        assert simplify([QRConstraint(2, 1), QRConstraint(2, -1)]) is None
 
     def test_empty(self):
         assert simplify([]) == []
 
     def test_product_contradiction(self):
         out = simplify([QRConstraint(2, 1), QRConstraint(3, 1), QRConstraint(6, -1)])
-        assert out is CONTRADICTION
+        assert out is None
 
     def test_kernel_one_constraints(self):
         assert simplify([QRConstraint(1, 1)]) == []
-        assert simplify([QRConstraint(1, -1)]) is CONTRADICTION
+        assert simplify([QRConstraint(1, -1)]) is None
 
     def test_consistent_set_kept_in_canonical_order(self):
         out = simplify([QRConstraint(15, 1), QRConstraint(3, -1)])
@@ -413,7 +412,7 @@ class TestAgainstReference:
         for c in sorted(constraints, key=lambda c: (abs(c.n), c.n < 0, -c.sign)):
             narrowed = classes(expected + [c])
             if not narrowed.residues:
-                expected = CONTRADICTION
+                expected = None
                 break
             if narrowed != current:
                 expected.append(c)
