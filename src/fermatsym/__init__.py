@@ -47,7 +47,6 @@ from .qrsolver import (
 from .symplectic import (
     QRConstraint,
     SymplecticType,
-    Verdict,
     criterion_at_two,
     criterion_multiplicative,
     pairwise_consistency,
@@ -70,7 +69,6 @@ __all__ = [
     "ReductionType",
     "SignExpr",
     "SymplecticType",
-    "Verdict",
     "WeierstrassModel",
     "criterion_at_two",
     "criterion_multiplicative",

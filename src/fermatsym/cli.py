@@ -109,7 +109,7 @@ def _dumps(value, separator: str = ",") -> str:
 def _classes_json(classes: qrsolver.CongruenceClassSet, dens) -> dict:
     return {
         "modulus": classes.modulus,
-        "residues": classes.sorted_residues(),
+        "residues": sorted(classes.residues),
         "density_num": dens.numerator,
         "density_den": dens.denominator,
     }
@@ -184,7 +184,8 @@ def _analyze_text(doc: dict) -> str:
     a, b, c = doc["equation"]
     lines = [
         f"equation {a}*x^p + {b}*y^p + {c}*z^p = 0",
-        f"no nontrivial solutions for {doc['congruences']}",
+        f"no nontrivial solutions for {doc['congruences']}"
+        if doc["classes"]["residues"] else "no exponent class is eliminated",
         f"density {doc['density']}; valid for {doc['exponent_floor']}",
     ]
     for case in doc["cases"]:

@@ -183,7 +183,8 @@ def parse_override_line(line: str) -> CurveRecord:
     red2 is one of good/mult/add/addpg; reduction at odd primes with positive
     valuation defaults to multiplicative.  sl2f3 is true/false.  The model is
     optional: use ``-`` to omit it.  The conductor must be at least 1, each l
-    a prime, and the model nonsingular.
+    a prime, at least one l given (every elliptic curve over Q has a bad
+    prime), and the model nonsingular.
     """
     label, cond_s, sign_s, vals_s, red2_s, sl2f3_s, model_s = split_fields(
         line, 7, OverrideFormatError
@@ -196,6 +197,8 @@ def parse_override_line(line: str) -> CurveRecord:
     if sign not in (1, -1):
         raise OverrideFormatError(f"sign must be 1 or -1, got {sign}")
     vals = parse_prime_map(vals_s, int, OverrideFormatError, "valuation")
+    if not vals:
+        raise OverrideFormatError("no valuations: every elliptic curve over Q has a bad prime")
     if red2_s not in _RED_CODES:
         raise OverrideFormatError(f"red2 must be one of {sorted(_RED_CODES)}, got {red2_s!r}")
     if sl2f3_s.lower() not in ("true", "false", "0", "1"):

@@ -24,7 +24,6 @@ from .symplectic import (
     CriterionError,
     QRConstraint,
     SymplecticType,
-    VerdictKind,
     criterion_at_two,
     criterion_multiplicative,
     pairwise_consistency,
@@ -263,31 +262,24 @@ def _inertia_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
             candidate_sl2f3=record.inertia_sl2f3_at_2,
         )
         steps = []
-        eliminated = False
         pending: list[QRConstraint] = []
         for ell in shared_odd:
-            verdict = criterion_multiplicative(
+            kernel = criterion_multiplicative(
                 scenario.profile[ell].residue, record.disc_valuations[ell], sym
             )
-            assert verdict is not None  # sym is never UNKNOWN here
-            if verdict.kind is VerdictKind.CONTRADICTION:
+            reduced = _reduce_modulo_branch(kernel, eps)
+            if kernel == QRConstraint(1, -1):  # the type contradicts the valuations
                 steps.append(ConstraintStep((ell,), None, None, "contradiction"))
-                eliminated = True
-            elif verdict.kind is VerdictKind.ALWAYS_CONSISTENT:
-                steps.append(ConstraintStep((ell,), QRConstraint(1, 1), None, "vacuous"))
+            elif kernel.n == 1:
+                steps.append(ConstraintStep((ell,), kernel, None, "vacuous"))
+            elif reduced.n == 1:
+                status = "vacuous" if reduced.sign == 1 else "violated"
+                steps.append(ConstraintStep((ell,), kernel, reduced, status))
             else:
-                kernel = verdict.constraint
-                reduced = _reduce_modulo_branch(kernel, eps)
-                if reduced.n == 1:
-                    if reduced.sign == 1:
-                        steps.append(ConstraintStep((ell,), kernel, reduced, "vacuous"))
-                    else:
-                        steps.append(ConstraintStep((ell,), kernel, reduced, "violated"))
-                        eliminated = True
-                else:
-                    steps.append(ConstraintStep((ell,), kernel, reduced, "pending"))
-                    if reduced not in pending:
-                        pending.append(reduced)
+                steps.append(ConstraintStep((ell,), kernel, reduced, "pending"))
+                if reduced not in pending:
+                    pending.append(reduced)
+        eliminated = any(step.status in ("contradiction", "violated") for step in steps)
         subcases.append(SubCase(eps, sym, tuple(steps), eliminated))
         branch_atom = Atom(QRConstraint(2, eps))
         if eliminated:

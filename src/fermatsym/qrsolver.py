@@ -7,8 +7,10 @@ text DSL for constraint expressions, e.g. ``(-2)=-1 & ((2)=+1 | !(3)=-1)``.
 Every kernel n is an F_2 vector over one basis of characters of p: (-1/p),
 (2/p) and (q*/p) = (p/q) for odd primes q, where q* = (-1)^((q-1)/2) q.
 ``simplify`` does linear algebra on these vectors; ``to_classes`` evaluates
-an expression once, as a truth table over the sign patterns of the basis,
-and reads the modulus and the residues off that table.
+an expression once, as a truth table over the sign patterns of the basis.
+A class set is the patterns it holds on, over the characters it depends
+on; density and the cover by congruence classes are read off the patterns,
+and residues are expanded only for output.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, prod
+from functools import cached_property, reduce
+from math import lcm
 from operator import and_, or_
 
 from .ntkernel import factor_small, jacobi, squarefree_part
@@ -240,8 +242,9 @@ def parse(text: str) -> SignExpr:
 # characters and congruence classes
 # ---------------------------------------------------------------------------
 
-# Largest canonical modulus, and largest number 2^r of sign patterns of r
-# basis characters, that to_classes enumerates; beyond it, ClassBoundError.
+# Largest canonical modulus that to_classes and canonicalize return, and
+# largest number 2^r of sign patterns of r basis characters that to_classes
+# enumerates; beyond it, ClassBoundError.
 CLASS_BOUND = 10**6
 
 
@@ -270,29 +273,30 @@ def character(base: int, r: int) -> int:
     return jacobi(r, base)
 
 
-def euler_phi(m: int) -> int:
-    out = m
-    for p in factor_small(m).factors:
-        out -= out // p
-    return out
+def _modulus(base: int) -> int:
+    return 4 if base == -1 else 8 if base == 2 else base
 
 
 @dataclass(frozen=True)
 class CongruenceClassSet:
-    """Residues mod M (coprime to M) containing the primes in question."""
+    """The primes p at which the basis characters take one of the patterns.
 
-    modulus: int
-    residues: frozenset[int]
+    Bit i of a pattern is set where characters[i] is -1.  Each pattern holds
+    on a share 2^-len(characters) of the primes, and on residues mod the lcm
+    of the characters' moduli: 4 for (-1/p), 8 for (2/p) and q for (p/q).
+    """
 
-    def __post_init__(self):
-        for r in self.residues:
-            if not (0 < r < self.modulus or (self.modulus == 1 and r == 0)):
-                raise ValueError(f"residue {r} out of range for modulus {self.modulus}")
-            if gcd(r, self.modulus) != 1:
-                raise ValueError(f"residue {r} not coprime to {self.modulus}")
+    characters: tuple[int, ...]
+    patterns: frozenset[int]
 
-    def sorted_residues(self) -> list[int]:
-        return sorted(self.residues)
+    @property
+    def modulus(self) -> int:
+        return lcm(*map(_modulus, self.characters))
+
+    @cached_property
+    def residues(self) -> frozenset[int]:
+        """Residues mod the modulus of the primes in the set (0 mod 1 for all p)."""
+        return _residues(self.characters, self.patterns, self.modulus)
 
     def __str__(self) -> str:
         parts = decompose(self)
@@ -303,118 +307,117 @@ class CongruenceClassSet:
         return " or ".join(f"p ≡ {r} (mod {m})" for r, m in parts)
 
 
+def _residues(characters, patterns, d: int) -> frozenset[int]:
+    """Residues mod d of the primes where the characters whose moduli divide
+    d take one of the patterns (which set no other bit).  Per prime-power
+    part m of d: its residues by the pattern they give the part's characters,
+    times the CRT idempotent for m, so that one from each part sums to one mod d.
+    """
+    shown = [(1 << i, b) for i, b in enumerate(characters) if d % _modulus(b) == 0]
+    fibres = []
+    for m in ([d & -d] if d % 2 == 0 else []) + [b for _, b in shown if b > 2]:
+        bits = [(bit, b) for bit, b in shown if (b == m if m % 2 else b < 3)]
+        idempotent = d // m * pow(d // m, -1, m)
+        fibre: dict[int, list[int]] = {}
+        for r in range(1, m, 2 - m % 2):  # the residues prime to m
+            x = sum(bit for bit, b in bits if character(b, r) < 0)
+            fibre.setdefault(x, []).append(r * idempotent % d)
+        fibres.append((sum(bit for bit, _ in bits), fibre))
+    residues: set[int] = set()
+    for x in patterns:
+        combined = [0]
+        for mask, fibre in fibres:
+            combined = [(s + t) % d for s in combined for t in fibre[x & mask]]
+        residues.update(combined)
+    return frozenset(residues)
+
+
+def _columns(r: int) -> list[int]:
+    """Per character i < r, the truth table of its being -1: bit x is set iff bit i of x is."""
+    columns = [((1 << (1 << r - 1)) - 1) << (1 << r - 1)] if r else []
+    for i in reversed(range(r - 1)):
+        # bit x of the shift is bit i + 1 of x + 2^i: bit i + 1 of x xor bit i of x
+        columns.insert(0, columns[0] ^ columns[0] >> (1 << i))
+    return columns
+
+
+def _restrict(characters, truth: int, columns: list[int]) -> CongruenceClassSet:
+    """The class set with truth table ``truth`` over the characters' patterns,
+    on only the characters it depends on: those whose flip changes an entry."""
+    used = [i for i, column in enumerate(columns)
+            if truth & ~column != (truth & column) >> (1 << i)]
+    modulus = lcm(*(_modulus(characters[i]) for i in used))
+    if modulus > CLASS_BOUND:
+        raise ClassBoundError(f"modulus {modulus} exceeds the bound {CLASS_BOUND}")
+    spread = [0]  # spread[y]: the pattern that sets the used characters as y does, the others +1
+    for i in used:
+        spread += [x | 1 << i for x in spread]
+    holds = format(truth, f"0{1 << len(characters)}b")[::-1]
+    patterns = frozenset(y for y, x in enumerate(spread) if holds[x] == "1")
+    return CongruenceClassSet(tuple(characters[i] for i in used), patterns)
+
+
 def to_classes(expr: SignExpr) -> CongruenceClassSet:
-    """All classes p ≡ r (mod M) on which the expression holds, M minimal.
+    """The class set on which the expression holds, on the fewest characters.
 
     Bit x of the truth table is the expression's value where the basis
-    characters in x are -1 and the others +1.  Each pattern holds on the
-    same share of primes, and M is the product of the moduli of the
-    characters the table depends on: 8 for (2/p), else 4 for (-1/p), and q.
+    characters in x are -1 and the others +1.
     """
     basis = sorted(set().union(*(_support(c.n) for c in atoms_of(expr))))
     size = 1 << len(basis)
     if size > CLASS_BOUND:
         raise ClassBoundError(f"2^{len(basis)} sign patterns exceed the bound {CLASS_BOUND}")
     full = (1 << size) - 1
-    # column of character i: the patterns x with bit i set
-    columns = {b: full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-               for i, b in enumerate(basis)}
+    columns = _columns(len(basis))
+    column = dict(zip(basis, columns))
 
     def table(e: SignExpr) -> int:
         if isinstance(e, Atom):
-            odd = reduce(lambda t, b: t ^ columns[b], _support(e.constraint.n), 0)
+            odd = reduce(lambda t, b: t ^ column[b], _support(e.constraint.n), 0)
             return odd if e.constraint.sign < 0 else full ^ odd
         if isinstance(e, Not):
             return full ^ table(e.operand)
         tables = (table(sub) for sub in e.operands)
         return reduce(and_, tables, full) if isinstance(e, And) else reduce(or_, tables, 0)
 
-    truth = table(expr)
-    # the characters it depends on: flipping one changes some entry
-    used = [b for i, b in enumerate(basis)
-            if truth & (full ^ columns[b]) != (truth & columns[b]) >> (1 << i)]
-    two = 8 if 2 in used else 4 if -1 in used else 1
-    parts = ([two] if two > 1 else []) + [q for q in used if q > 2]
-    modulus = prod(parts)
-    if modulus > CLASS_BOUND:
-        raise ClassBoundError(f"modulus {modulus} exceeds the bound {CLASS_BOUND}")
-    # per prime-power part m of the modulus: its residues by the pattern they
-    # give the part's characters, times the CRT idempotent for m, so that one
-    # residue from each part sums to a residue mod the modulus
-    fibres = []
-    for m in parts:
-        bits = [(1 << basis.index(b), b) for b in used if (b == m if m % 2 else b < 3)]
-        idempotent = modulus // m * pow(modulus // m, -1, m)
-        fibre: dict[int, list[int]] = {}
-        for r in range(1, m):
-            if gcd(r, m) == 1:
-                x = sum(bit for bit, b in bits if character(b, r) < 0)
-                fibre.setdefault(x, []).append(r * idempotent % modulus)
-        fibres.append((sum(bit for bit, _ in bits), fibre))
-    unused = sum(1 << i for i, b in enumerate(basis) if b not in used)
-    holds = format(truth, f"0{size}b")[::-1]
-    residues: set[int] = set()
-    for x in range(size):
-        if holds[x] == "1" and not x & unused:
-            combined = [0]
-            for mask, fibre in fibres:
-                combined = [(s + t) % modulus for s in combined for t in fibre[x & mask]]
-            residues.update(combined)
-    return CongruenceClassSet(modulus, frozenset(residues))
+    return _restrict(basis, table(expr), columns)
 
 
 def density(classes: CongruenceClassSet) -> Fraction:
     """Dirichlet density of the primes in the class set."""
-    if classes.modulus == 1:
-        return Fraction(1) if classes.residues else Fraction(0)
-    return Fraction(len(classes.residues), euler_phi(classes.modulus))
-
-
-def _divisors(m: int) -> list[int]:
-    out = [1]
-    for q, e in factor_small(m).factors.items():
-        out = [d * q**k for d in out for k in range(e + 1)]
-    return sorted(out)
+    return Fraction(len(classes.patterns), 1 << len(classes.characters))
 
 
 def canonicalize(classes: CongruenceClassSet) -> CongruenceClassSet:
-    """Smallest modulus expressing the same set of primes.
-
-    The divisors d of M at which the set is a union of classes mod d are
-    closed under gcd, so dividing M by one prime at a time, for as long as
-    the set stays such a union, reaches the smallest.
-    """
-    m, residues, phi = classes.modulus, classes.residues, euler_phi(classes.modulus)
-    d = m
-    for q in factor_small(m).factors:
-        while d % q == 0:
-            # a union of classes mod d // q iff its image there lifts to no more
-            image = {r % (d // q) for r in residues}
-            if len(image) * phi != len(residues) * euler_phi(d // q):
-                break
-            d //= q
-    return CongruenceClassSet(d, frozenset(r % d for r in residues))
+    """The same primes on only the characters they depend on, at the least modulus."""
+    holds = "".join("01"[x in classes.patterns] for x in reversed(range(1 << len(classes.characters))))
+    return _restrict(classes.characters, int(holds, 2), _columns(len(classes.characters)))
 
 
 def decompose(classes: CongruenceClassSet) -> list[tuple[int, int]]:
     """Greedy cover by single classes of the smallest possible moduli.
 
     Returns (residue, modulus) pairs; e.g. {5,13,23} mod 24 comes out as
-    [(5, 8), (23, 24)].  For each divisor d of M in turn, the class rd mod d
-    is taken iff all phi(M)/phi(d) of its residues mod M are still uncovered.
+    [(5, 8), (23, 24)].  A class mod d fixes the characters whose moduli
+    divide d and leaves the others free, and a class set is a union of
+    patterns.  So for each d that is the lcm of some characters' moduli, in
+    increasing order, a class mod d is taken iff every pattern extending it
+    is still uncovered.
     """
-    m = classes.modulus
-    if m <= 1:
-        return [(1, 1)] if classes.residues else []
-    remaining, out, phi = set(classes.residues), [], euler_phi(m)
-    for d in _divisors(m):
-        fibre = phi // euler_phi(d)
-        whole = {rd for rd, n in Counter(r % d for r in remaining).items() if n == fibre}
+    moduli = [_modulus(b) for b in classes.characters]
+    if not moduli:
+        return [(1, 1)] if classes.patterns else []
+    least = {1}
+    for m in moduli:
+        least |= {lcm(d, m) for d in least}
+    remaining, out = set(classes.patterns), []
+    for d in sorted(least):
+        fixed = sum(1 << i for i, m in enumerate(moduli) if d % m == 0)
+        extensions = 1 << (len(moduli) - fixed.bit_count())
+        whole = {v for v, n in Counter(x & fixed for x in remaining).items() if n == extensions}
         if whole:
-            out.extend((rd, d) for rd in whole)
-            remaining = {r for r in remaining if r % d not in whole}
-            if not remaining:
-                break
+            out.extend((r, d) for r in _residues(classes.characters, whole, d))
+            remaining = {x for x in remaining if x & fixed not in whole}
     return sorted(out, key=lambda rm: (rm[1], rm[0]))
 
 

@@ -1,10 +1,10 @@
 """The two symplectic criteria as decision procedures.
 
-Outputs are either a symplectic type, a quadratic-residue constraint on the
-exponent prime p, or a hard contradiction.  Everything is symbolic in p:
-valuations enter as exact integers or as integer representatives of residues
-mod p, and "is a square mod p" becomes a Legendre-symbol constraint on the
-squarefree kernel.
+Outputs are a symplectic type or a quadratic-residue constraint on the
+exponent prime p, of which (1)=-1 is a hard contradiction.  Everything is
+symbolic in p: valuations enter as exact integers or as integer
+representatives of residues mod p, and "is a square mod p" becomes a
+Legendre-symbol constraint on the squarefree kernel.
 """
 
 from __future__ import annotations
@@ -47,27 +47,6 @@ class QRConstraint:
         return f"({self.n})={'+1' if self.sign == 1 else '-1'}"
 
 
-class VerdictKind(Enum):
-    CONSTRAINT = "constraint"
-    ALWAYS_CONSISTENT = "always-consistent"
-    CONTRADICTION = "contradiction"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    constraint: QRConstraint | None = None
-
-    def __str__(self) -> str:
-        if self.kind is VerdictKind.CONSTRAINT:
-            return f"requires {self.constraint}"
-        return self.kind.value
-
-
-ALWAYS_CONSISTENT = Verdict(VerdictKind.ALWAYS_CONSISTENT)
-CONTRADICTION = Verdict(VerdictKind.CONTRADICTION)
-
-
 def criterion_at_two(
     v2_frey: int,
     v2_candidate: int,
@@ -94,29 +73,23 @@ def criterion_at_two(
     return SymplecticType.ANTI_SYMPLECTIC
 
 
-def criterion_multiplicative(
-    v: int, v_candidate: int, sym_type: SymplecticType
-) -> Verdict | None:
+def criterion_multiplicative(v: int, v_candidate: int, sym_type: SymplecticType) -> QRConstraint:
     """Consistency of a symplectic type with valuations at a shared
     multiplicative prime.
 
     v and v_candidate are integer representatives of the two discriminant
     exponents mod p (both nonzero mod p).  The type forces their ratio to be
-    a square (symplectic) or a non-square (anti-symplectic) mod p; the
-    verdict encodes that as a constraint on the squarefree kernel of the
-    product.  Returns None for an unknown type: no per-prime verdict exists,
-    use pairwise_consistency instead.
+    a square (symplectic) or a non-square (anti-symplectic) mod p, which is
+    a constraint on the squarefree kernel of the product: (1)=+1 always
+    holds and (1)=-1 never does.  An unknown type has no per-prime
+    constraint; use pairwise_consistency instead.
     """
     if v == 0 or v_candidate == 0:
         raise CriterionError("criterion needs valuations nonzero mod p")
     if sym_type is SymplecticType.UNKNOWN:
-        return None
-    s = squarefree_part(v * v_candidate)
-    if sym_type is SymplecticType.SYMPLECTIC:
-        return ALWAYS_CONSISTENT if s == 1 else Verdict(VerdictKind.CONSTRAINT, QRConstraint(s, 1))
-    if s == 1:
-        return CONTRADICTION
-    return Verdict(VerdictKind.CONSTRAINT, QRConstraint(s, -1))
+        raise CriterionError("criterion needs a known symplectic type; use pairwise_consistency")
+    sign = 1 if sym_type is SymplecticType.SYMPLECTIC else -1
+    return QRConstraint(squarefree_part(v * v_candidate), sign)
 
 
 def pairwise_consistency(

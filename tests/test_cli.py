@@ -377,6 +377,26 @@ class TestDensity:
         assert doc["density"] == "1/32"
         assert doc["classes"]["modulus"] == 4 * 3 * 5 * 7 * 11 * 13  # no (2/p): the 2-part is 4
 
+    @pytest.mark.parametrize(
+        "json_flag, digest",
+        [
+            ((), "069d3860dc6033426b44218eb7469cb744970ea7233d2f1fe59d3b8ac9b84995"),
+            (("--json",), "3ff295c57bde48a12e0f2a63e8532e52ba19d76c85d772c8d25cee485a7debd1"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_170170_bytes_are_pinned(self, capsys, json_flag, digest):
+        # 92 160 classes mod 8 * 5 * 7 * 11 * 13 * 17; a change to any fails here
+        code, out, _ = run_cli(capsys, "density", "(170170)=1", *json_flag)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_170170_answers_in_time(self, capsys):
+        started = time.perf_counter()
+        code, _, _ = run_cli(capsys, "density", "(170170)=1", "--json")
+        assert time.perf_counter() - started < 1.5
+        assert code == 0
+
     def test_modulus_past_the_bound_exit_2(self, capsys):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "density", "(10007)=1 & (10009)=1")
@@ -451,8 +471,9 @@ class TestOverridesPlumbing:
         [
             ("x0 | 0 | 1 | 3:2 | mult | false | [0,0,0,0,1]", "conductor must be at least 1"),
             ("x1 | 11 | 1 | 11:1 | mult | false | [0,0,0,0,0]", "model [0,0,0,0,0] has discriminant 0"),
+            ("e1 | 1 | 1 |  | good | false | -", "no valuations"),
         ],
-        ids=["conductor_0", "singular_model"],
+        ids=["conductor_0", "singular_model", "no_valuations"],
     )
     def test_refused_record_exit_2(self, capsys, tmp_path, line, message):
         path = tmp_path / "curves.txt"
@@ -595,6 +616,16 @@ density 3/8; valid for p ≥ 5
 # 6 primes, 6 with obstructions
 """,
     ),
+    "analyze_nothing_eliminated": (
+        ["analyze", "--eq", "1,1,1", "--scenarios", "SCENARIOS", "--overrides", "CURVES"], 0,
+        """\
+equation 1*x^p + 1*y^p + 1*z^p = 0
+no exponent class is eliminated
+density 0/1; valid for p ≥ 5
+  case y_odd: level 77
+    vs 77z1 [pairwise]: eliminated when (1)=-1
+""",
+    ),
     "density": (["density", "(-2)=-1 & (2)=-1"], 0, "p ≡ 5 (mod 8); density 1/4\n"),
     "density_all_p": (["density", "(2)=1 | (2)=-1"], 0, "all p; density 1/1\n"),
     "density_empty": (["density", "(2)=1 & (2)=-1"], 0, "no classes (empty set); density 0/1\n"),
@@ -626,8 +657,12 @@ class TestTextOutput:
         curves.write_text(
             "42z1 | 42 | -1 | 2:8,3:2,7:1 | mult | false | -\n"
             "42z2 | 42 | 1 | 2:8,3:2,7:2 | mult | false | [1,1,1,-4,5]\n"
+            "77z1 | 77 | 1 | 7:3,11:5 | mult | false | -\n"
         )
-        argv = [str(curves) if arg == "CURVES" else arg for arg in argv]
+        scenarios = tmp_path / "scenarios.txt"
+        scenarios.write_text("1,1,1 | y_odd | 77 | 7:3,11:5 | 77z1 | p>=5\n")
+        files = {"CURVES": str(curves), "SCENARIOS": str(scenarios)}
+        argv = [files.get(arg, arg) for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (want_code, want_out, "")
 

@@ -191,6 +191,7 @@ class TestOverrides:
             "z1 | 7 | 1 | 4:1,7:1 | mult | false | -",
             "z1 | 7 | 1 | -3:1,7:1 | mult | false | -",
             "z1 | 7 | 1 | 3317044064679887385961981:1,7:1 | mult | false | -",  # psi_13
+            "e1 | 1 | 1 |  | good | false | -",  # no bad prime
         ],
     )
     def test_format_errors(self, line):

@@ -17,7 +17,6 @@ from fermatsym.freypipe import (
 )
 from fermatsym.ntkernel import jacobi, primes_in
 from fermatsym.qrsolver import (
-    CongruenceClassSet,
     Or,
     atom,
     decompose,
@@ -201,14 +200,14 @@ class TestRunCase:
 class TestRunEquation:
     def test_eq1_congruence_classes(self):
         report = run_equation(3, 8, 21)
-        assert report.classes == CongruenceClassSet(24, frozenset({5, 13, 23}))
+        assert (report.classes.modulus, report.classes.residues) == (24, frozenset({5, 13, 23}))
         assert report.density == Fraction(3, 8)
         assert report.exponent_floor == ExponentFloor(True, 7)
         assert decompose(report.classes) == [(5, 8), (23, 24)]
 
     def test_eq2_congruence_classes(self):
         report = run_equation(3, 4, 5)
-        assert report.classes == CongruenceClassSet(24, frozenset({5, 13, 19}))
+        assert (report.classes.modulus, report.classes.residues) == (24, frozenset({5, 13, 19}))
         assert report.density == Fraction(3, 8)
         assert report.exponent_floor == ExponentFloor(False, 5)
         assert decompose(report.classes) == [(5, 8), (19, 24)]

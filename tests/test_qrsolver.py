@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -35,9 +37,10 @@ from fermatsym.qrsolver import (
 from fermatsym.symplectic import QRConstraint
 
 # ---------------------------------------------------------------------------
-# reference: classes by enumerating every residue mod M = 8 * (odd primes),
-# reading each Legendre symbol off the residue by reciprocity, then scanning
-# every divisor of M.  Slow, and independent of the character truth tables.
+# reference: classes as (modulus, residues) pairs, by enumerating every
+# residue mod M = 8 * (odd primes), reading each Legendre symbol off the
+# residue by reciprocity, then scanning every divisor of M.  Slow, and
+# independent of the character truth tables and sign patterns.
 # ---------------------------------------------------------------------------
 
 
@@ -65,7 +68,7 @@ def ref_raw_classes(expr):
     """The satisfied residues mod 8 * (every odd prime in the kernels)."""
     odd = {q for c in atoms_of(expr) for q in factor_small(abs(c.n)).factors if q != 2}
     m = 8 * prod(odd)
-    return CongruenceClassSet(m, frozenset(r for r in range(1, m) if gcd(r, m) == 1 and ref_evaluate(expr, r)))
+    return m, frozenset(r for r in range(1, m) if gcd(r, m) == 1 and ref_evaluate(expr, r))
 
 
 def ref_coprime(m):
@@ -80,18 +83,18 @@ def ref_fibres(m, d):
 
 
 def ref_canonicalize(classes):
-    m = classes.modulus
+    m, residues = classes
     for d in (d for d in range(1, m + 1) if m % d == 0):
         fibres = ref_fibres(m, d)
-        if all(f <= classes.residues or not f & classes.residues for f in fibres.values()):
-            return CongruenceClassSet(d, frozenset(rd for rd, f in fibres.items() if f <= classes.residues))
+        if all(f <= residues or not f & residues for f in fibres.values()):
+            return d, frozenset(rd for rd, f in fibres.items() if f <= residues)
 
 
 def ref_decompose(classes):
-    m = classes.modulus
+    m, residues = classes
     if m <= 1:
-        return [(1, 1)] if classes.residues else []
-    remaining, out = set(classes.residues), []
+        return [(1, 1)] if residues else []
+    remaining, out = set(residues), []
     for d in (d for d in range(1, m + 1) if m % d == 0):
         for rd, fibre in sorted(ref_fibres(m, d).items()):
             if fibre <= remaining:
@@ -109,6 +112,25 @@ def ref_str(classes):
 
 def in_classes(p, classes):
     return p % classes.modulus in classes.residues
+
+
+def as_pair(classes):
+    return classes.modulus, classes.residues
+
+
+def pattern(characters, r):
+    """The sign pattern of the characters at primes p = r: bit i set where characters[i] is -1."""
+    return sum(1 << i for i, b in enumerate(characters) if character(b, r) < 0)
+
+
+def cells(m, residues):
+    """The class set of the residues mod m, which must be a union of sign-pattern cells
+    of the basis characters whose moduli make up m."""
+    twos = {1: (), 2: (), 4: (-1,), 8: (-1, 2)}[m & -m]
+    characters = twos + tuple(q for q in factor_small(m).factors if q > 2)
+    patterns = frozenset(pattern(characters, r) for r in residues)
+    assert {r for r in ref_coprime(m) if pattern(characters, r) in patterns} == set(residues)
+    return CongruenceClassSet(characters, patterns)
 
 
 class TestSymbolSign:
@@ -202,16 +224,16 @@ class TestPretty:
 class TestToClasses:
     def test_five_mod_eight(self):
         classes = to_classes(parse("(-2)=-1 & (2)=-1"))
-        assert classes == CongruenceClassSet(8, frozenset({5}))
+        assert as_pair(classes) == (8, frozenset({5}))
 
     def test_twenty_three_mod_twenty_four(self):
         classes = to_classes(parse("(-2)=-1 & (2)=+1 & (3)=+1"))
-        assert classes == CongruenceClassSet(24, frozenset({23}))
+        assert as_pair(classes) == (24, frozenset({23}))
 
     def test_constant_true_covers_everything(self):
         classes = to_classes(TRUE)
         assert density(classes) == 1
-        assert classes == CongruenceClassSet(1, frozenset({0}))
+        assert as_pair(classes) == (1, frozenset({0}))
         assert str(classes) == "all p"
         assert all(in_classes(p, classes) for p in primes_in(3, 200))
 
@@ -237,6 +259,23 @@ class TestToClasses:
             to_classes(atom(many, 1))
         assert str(to_classes(parse("(1000003)=1 | (1000003)=-1"))) == "all p"
 
+    def test_large_basis_read_on_the_characters_used(self):
+        # 2^19 sign patterns of -1, 3 and 17 primes from 5, of which the set
+        # depends on two: it is stored and expanded on those two alone
+        big = prod(primes_in(5, 68))
+        assert len(_support(3 * big) | _support(big)) == 19
+        expr = parse(f"(3)=1 & (({big})=1 | ({big})=-1)")
+        started = time.perf_counter()
+        classes = to_classes(expr)
+        assert time.perf_counter() - started < 0.2  # no pass over the 2^19 patterns
+        assert classes == CongruenceClassSet((-1, 3), frozenset({0b00, 0b11}))
+        assert as_pair(classes) == (12, frozenset({1, 11}))
+
+    def test_fields_are_the_characters_and_patterns(self):
+        assert [f.name for f in fields(CongruenceClassSet)] == ["characters", "patterns"]
+        classes = CongruenceClassSet((-1, 2), frozenset({0b10}))
+        assert (classes.modulus, classes.residues, str(classes)) == (8, frozenset({5}), "p ≡ 5 (mod 8)")
+
     def test_density_subadditive_with_equality_when_disjoint(self):
         e1 = parse("(2)=+1")
         e2 = parse("(2)=-1 & (3)=+1")
@@ -248,13 +287,13 @@ class TestToClasses:
 
 class TestDensity:
     def test_one_quarter(self):
-        assert density(CongruenceClassSet(8, frozenset({5}))) == Fraction(1, 4)
+        assert density(cells(8, {5})) == Fraction(1, 4)
 
     def test_three_eighths_set(self):
-        assert density(CongruenceClassSet(24, frozenset({5, 13, 23}))) == Fraction(3, 8)
+        assert density(cells(24, {5, 13, 23})) == Fraction(3, 8)
 
     def test_empty(self):
-        assert density(CongruenceClassSet(24, frozenset())) == 0
+        assert density(cells(24, set())) == 0
 
     def test_single_odd_prime_atom_has_density_one_half(self):
         for q in (3, 5, 7, 11):
@@ -263,19 +302,19 @@ class TestDensity:
 
 class TestCanonicalize:
     def test_spec_example(self):
-        canonical = canonicalize(CongruenceClassSet(24, frozenset({5, 13})))
-        assert canonical == CongruenceClassSet(8, frozenset({5}))
+        canonical = canonicalize(cells(24, {5, 13}))
+        assert as_pair(canonical) == (8, frozenset({5}))
 
     def test_not_collapsible(self):
-        classes = CongruenceClassSet(24, frozenset({5, 13, 23}))
+        classes = cells(24, {5, 13, 23})
         assert canonicalize(classes) == classes
 
     def test_decompose_minimal_moduli(self):
-        assert decompose(CongruenceClassSet(24, frozenset({5, 13, 23}))) == [(5, 8), (23, 24)]
-        assert decompose(CongruenceClassSet(24, frozenset({5, 13, 19}))) == [(5, 8), (19, 24)]
+        assert decompose(cells(24, {5, 13, 23})) == [(5, 8), (23, 24)]
+        assert decompose(cells(24, {5, 13, 19})) == [(5, 8), (19, 24)]
 
     def test_str_format(self):
-        classes = CongruenceClassSet(24, frozenset({5, 13, 23}))
+        classes = cells(24, {5, 13, 23})
         assert str(classes) == "p ≡ 5 (mod 8) or p ≡ 23 (mod 24)"
 
 
@@ -370,15 +409,15 @@ def kernel_exprs(draw, max_depth=3):
 
 
 @st.composite
-def residue_sets(draw):
-    """A union of random classes mod divisors of m | 840, a few residues toggled."""
-    m = draw(st.sampled_from([d for d in range(1, 841) if 840 % d == 0]))
-    coprime = ref_coprime(m)
-    picked = draw(st.lists(st.tuples(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]),
-                                     st.sampled_from(coprime)), max_size=4))
-    residues = {r for r in coprime for d, x in picked if r % d == x % d}
-    residues ^= draw(st.sets(st.sampled_from(coprime), max_size=5))
-    return CongruenceClassSet(m, frozenset(residues))
+def pattern_sets(draw):
+    """Any pattern set over up to four basis characters, which it need not
+    depend on all of: it is closed under flipping the characters in `free`."""
+    characters = tuple(sorted(draw(st.sets(st.sampled_from([-1, 2, 3, 5, 7, 11, 13]), max_size=4))))
+    every = range(1 << len(characters))
+    free = draw(st.sampled_from(every))
+    drawn = draw(st.sets(st.sampled_from(every)))
+    patterns = frozenset(x & ~free | y for x in drawn for y in every if y & ~free == 0)
+    return CongruenceClassSet(characters, patterns)
 
 
 class TestAgainstReference:
@@ -388,16 +427,19 @@ class TestAgainstReference:
         raw = ref_raw_classes(expr)
         want = ref_canonicalize(raw)
         got = to_classes(expr)
-        assert got == want, pretty(expr)
+        assert as_pair(got) == want, pretty(expr)
         assert str(got) == ref_str(want)
-        assert density(got) == Fraction(len(raw.residues), len(ref_coprime(raw.modulus)))
-        assert canonicalize(raw) == want
+        assert density(got) == Fraction(len(raw[1]), len(ref_coprime(raw[0])))
+        assert canonicalize(cells(*raw)) == got
 
     @settings(max_examples=150, deadline=None)
-    @given(residue_sets())
-    def test_decompose_and_canonicalize_on_residue_sets(self, classes):
-        assert decompose(classes) == ref_decompose(classes)
-        assert canonicalize(classes) == ref_canonicalize(classes)
+    @given(pattern_sets())
+    def test_residues_decompose_canonicalize_and_density_on_pattern_sets(self, classes):
+        m, characters = classes.modulus, classes.characters
+        assert classes.residues == {r for r in ref_coprime(m) if pattern(characters, r) in classes.patterns}
+        assert decompose(classes) == ref_decompose(as_pair(classes))
+        assert as_pair(canonicalize(classes)) == ref_canonicalize(as_pair(classes))
+        assert density(classes) == Fraction(len(classes.residues), len(ref_coprime(m)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(SMALL_KERNELS), st.sampled_from([1, -1])), max_size=5))
@@ -411,7 +453,7 @@ class TestAgainstReference:
         expected, current = [], classes([])
         for c in sorted(constraints, key=lambda c: (abs(c.n), c.n < 0, -c.sign)):
             narrowed = classes(expected + [c])
-            if not narrowed.residues:
+            if not narrowed[1]:
                 expected = None
                 break
             if narrowed != current:

@@ -2,12 +2,9 @@ import pytest
 
 from fermatsym.ntkernel import jacobi, squarefree_part
 from fermatsym.symplectic import (
-    ALWAYS_CONSISTENT,
-    CONTRADICTION,
     CriterionError,
     QRConstraint,
     SymplecticType,
-    VerdictKind,
     criterion_at_two,
     criterion_multiplicative,
     pairwise_consistency,
@@ -67,28 +64,27 @@ class TestCriterionAtTwo:
 
 class TestCriterionMultiplicative:
     def test_ratio_2_symplectic(self):
-        v = criterion_multiplicative(2, 1, SymplecticType.SYMPLECTIC)
-        assert v.kind is VerdictKind.CONSTRAINT
-        assert v.constraint == QRConstraint(2, 1)
+        assert criterion_multiplicative(2, 1, SymplecticType.SYMPLECTIC) == QRConstraint(2, 1)
 
     def test_squarefree_kernel_of_ratio(self):
         # 2 * 4 = 8 has squarefree part 2
-        v = criterion_multiplicative(2, 4, SymplecticType.SYMPLECTIC)
-        assert v.constraint == QRConstraint(2, 1)
+        assert criterion_multiplicative(2, 4, SymplecticType.SYMPLECTIC) == QRConstraint(2, 1)
 
     def test_square_ratio_anti_symplectic_contradicts(self):
-        assert criterion_multiplicative(2, 2, SymplecticType.ANTI_SYMPLECTIC) is CONTRADICTION
+        # (1)=-1 holds for no p
+        assert criterion_multiplicative(2, 2, SymplecticType.ANTI_SYMPLECTIC) == QRConstraint(1, -1)
 
     def test_negative_residue(self):
-        v = criterion_multiplicative(-2, 3, SymplecticType.SYMPLECTIC)
-        assert v.constraint == QRConstraint(-6, 1)
+        assert criterion_multiplicative(-2, 3, SymplecticType.SYMPLECTIC) == QRConstraint(-6, 1)
 
     def test_square_ratio_symplectic_always_consistent(self):
+        # (1)=+1 holds for every p
         for v in range(1, 11):
-            assert criterion_multiplicative(v, v, SymplecticType.SYMPLECTIC) is ALWAYS_CONSISTENT
+            assert criterion_multiplicative(v, v, SymplecticType.SYMPLECTIC) == QRConstraint(1, 1)
 
     def test_unknown_type_has_no_verdict(self):
-        assert criterion_multiplicative(2, 1, SymplecticType.UNKNOWN) is None
+        with pytest.raises(CriterionError, match="pairwise_consistency"):
+            criterion_multiplicative(2, 1, SymplecticType.UNKNOWN)
 
     def test_rejects_zero_residue(self):
         with pytest.raises(CriterionError):
