@@ -10,89 +10,74 @@ The library reproduces two kinds of results about a x^p + b y^p + c z^p = 0:
   decided by membership tests in the p-th powers of F_ell* at good primes
   and by valuation cases at bad primes (``localobs``).
 
+Importing the package loads none of its modules: each name in ``__all__``
+is looked up in its home module, which is imported on first use, so a CLI
+command loads only what it runs.  ``FermatsymError`` is the base of the
+errors that the CLI reports as a usage or data error (exit 2).
+
 See the README for the CLI and file formats.
 """
 
-from .curvedb import CurveDatabase, CurveRecord, verify
-from .ecmodel import (
-    Invariants,
-    ReductionKind,
-    ReductionType,
-    WeierstrassModel,
-    invariants,
-    minimal_model,
-    reduction_type,
-    transform,
-)
-from .freypipe import EquationReport, FreyScenario, run_case, run_equation, scenarios
-from .localobs import (
-    LocalResult,
-    ObstructionSearch,
-    has_local_obstruction,
-    solvable_mod_q_fast,
-    solvable_over_Ql,
-    sweep,
-    weil_cutoff,
-)
-from .ntkernel import FactoredInt, factor_small, is_prime, jacobi, squarefree_part
-from .qrsolver import (
-    CongruenceClassSet,
-    SignExpr,
-    density,
-    parse,
-    pretty,
-    simplify,
-    to_classes,
-)
-from .symplectic import (
-    QRConstraint,
-    SymplecticType,
-    criterion_at_two,
-    criterion_multiplicative,
-    pairwise_consistency,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CongruenceClassSet",
-    "CurveDatabase",
-    "CurveRecord",
-    "EquationReport",
-    "FactoredInt",
-    "FreyScenario",
-    "Invariants",
-    "LocalResult",
-    "ObstructionSearch",
-    "QRConstraint",
-    "ReductionKind",
-    "ReductionType",
-    "SignExpr",
-    "SymplecticType",
-    "WeierstrassModel",
-    "criterion_at_two",
-    "criterion_multiplicative",
-    "density",
-    "factor_small",
-    "has_local_obstruction",
-    "invariants",
-    "is_prime",
-    "jacobi",
-    "minimal_model",
-    "pairwise_consistency",
-    "parse",
-    "pretty",
-    "reduction_type",
-    "run_case",
-    "run_equation",
-    "scenarios",
-    "simplify",
-    "solvable_mod_q_fast",
-    "solvable_over_Ql",
-    "squarefree_part",
-    "sweep",
-    "to_classes",
-    "transform",
-    "verify",
-    "weil_cutoff",
-]
+
+class FermatsymError(Exception):
+    """A usage or data error: an input the library refuses to work on."""
+
+
+_HOMES = {
+    "CongruenceClassSet": "qrsolver",
+    "CurveDatabase": "curvedb",
+    "CurveRecord": "curvedb",
+    "EquationReport": "freypipe",
+    "FactoredInt": "ntkernel",
+    "FreyScenario": "freypipe",
+    "Invariants": "ecmodel",
+    "LocalResult": "localobs",
+    "ObstructionSearch": "localobs",
+    "QRConstraint": "symplectic",
+    "ReductionKind": "ecmodel",
+    "ReductionType": "ecmodel",
+    "SignExpr": "qrsolver",
+    "SymplecticType": "symplectic",
+    "WeierstrassModel": "ecmodel",
+    "criterion_at_two": "symplectic",
+    "criterion_multiplicative": "symplectic",
+    "density": "qrsolver",
+    "factor_small": "ntkernel",
+    "has_local_obstruction": "localobs",
+    "invariants": "ecmodel",
+    "is_prime": "ntkernel",
+    "jacobi": "ntkernel",
+    "minimal_model": "ecmodel",
+    "pairwise_consistency": "symplectic",
+    "parse": "qrsolver",
+    "pretty": "qrsolver",
+    "reduction_type": "ecmodel",
+    "run_case": "freypipe",
+    "run_equation": "freypipe",
+    "scenarios": "freypipe",
+    "simplify": "qrsolver",
+    "solvable_mod_q_fast": "localobs",
+    "solvable_over_Ql": "localobs",
+    "squarefree_part": "ntkernel",
+    "sweep": "localobs",
+    "to_classes": "qrsolver",
+    "transform": "ecmodel",
+    "verify": "curvedb",
+    "weil_cutoff": "localobs",
+}
+
+__all__ = ["FermatsymError", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

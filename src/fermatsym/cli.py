@@ -3,9 +3,10 @@
 Six subcommands wrap the library pipelines with reproducible text and JSON
 output: identical inputs give byte-identical JSON except for elapsed_ms
 fields.  Each command builds its answer once, as the JSON document; the text
-output is rendered from that document, and only without --json.  Exit
-codes: 0 success, 1 when undecided results are present, 2 for usage or data
-errors.
+output is rendered from that document, and only without --json.  A command
+imports the modules it runs when it runs, so a start-up loads only this one.
+Exit codes: 0 success, 1 when undecided results are present, 2 for usage or
+data errors (FermatsymError and OSError).
 """
 
 from __future__ import annotations
@@ -17,31 +18,7 @@ import sys
 import time
 from itertools import chain
 
-from . import curvedb, localobs, ntkernel, qrsolver
-from .curvedb import CurveDatabase, load_overrides
-from .freypipe import (
-    EquationReport,
-    IncompatibleCandidateError,
-    ScenarioFormatError,
-    UnknownEquationError,
-    run_equation,
-)
-from .qrsolver import ParseError
-from .symplectic import CriterionError
-
-_DOMAIN_ERRORS = (
-    curvedb.UnknownLabelError,
-    curvedb.UnknownLevelError,
-    curvedb.OverrideFormatError,
-    localobs.PreconditionError,
-    ntkernel.FactorizationError,
-    qrsolver.ClassBoundError,
-    UnknownEquationError,
-    ScenarioFormatError,
-    IncompatibleCandidateError,
-    CriterionError,
-    OSError,
-)
+from . import FermatsymError
 
 OVERRIDES_ENV = "FERMATSYM_OVERRIDES"
 
@@ -67,7 +44,9 @@ def _parse_equation(text: str) -> tuple[int, int, int]:
     return parts
 
 
-def _database(args) -> CurveDatabase:
+def _database(args):
+    from .curvedb import CurveDatabase, load_overrides
+
     path = args.overrides or os.environ.get(OVERRIDES_ENV)
     overrides = load_overrides(path) if path else None
     return CurveDatabase(overrides)
@@ -106,7 +85,7 @@ def _dumps(value, separator: str = ",") -> str:
     return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(separator, ": "))
 
 
-def _classes_json(classes: qrsolver.CongruenceClassSet, dens) -> dict:
+def _classes_json(classes, dens) -> dict:
     return {
         "modulus": classes.modulus,
         "residues": sorted(classes.residues),
@@ -115,7 +94,9 @@ def _classes_json(classes: qrsolver.CongruenceClassSet, dens) -> dict:
     }
 
 
-def _equation_report_json(report: EquationReport) -> dict:
+def _equation_report_json(report) -> dict:
+    from .qrsolver import pretty
+
     cases = []
     for scen_report in report.scenarios:
         scen = scen_report.scenario
@@ -145,7 +126,7 @@ def _equation_report_json(report: EquationReport) -> dict:
                 {
                     "candidate": case.candidate,
                     "route": case.route,
-                    "elimination": qrsolver.pretty(case.elimination),
+                    "elimination": pretty(case.elimination),
                     "subcases": subcases,
                 }
             )
@@ -174,6 +155,8 @@ def _equation_report_json(report: EquationReport) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from .freypipe import run_equation
+
     a, b, c = _parse_equation(args.eq)
     report = run_equation(a, b, c, _database(args), args.scenarios)
     _emit(args, _equation_report_json(report), _analyze_text)
@@ -205,6 +188,8 @@ def _analyze_text(doc: dict) -> str:
 
 
 def cmd_local(args) -> int:
+    from . import localobs
+
     a, b, c = _parse_equation(args.eq)
     res = localobs.solvable_over_Ql(a, b, c, args.p, args.ell, args.max_level)
     witness = None
@@ -237,6 +222,8 @@ def _local_text(doc: dict) -> str:
 
 
 def cmd_obstruct(args) -> int:
+    from . import localobs
+
     a, b, c = _parse_equation(args.eq)
     started = time.monotonic_ns()
     res = localobs.has_local_obstruction(a, b, c, args.p, args.kmax)
@@ -272,6 +259,8 @@ def _obstruct_text(doc: dict, k_max: int) -> str:
 
 
 def cmd_sweep(args) -> int:
+    from . import localobs
+
     if args.jobs != 1:
         raise CliError(f"--jobs takes only 1 (sweep runs in one process), got {args.jobs}")
     a, b, c = _parse_equation(args.eq)
@@ -313,9 +302,11 @@ def _sweep_text(doc: dict) -> str:
 
 
 def cmd_density(args) -> int:
+    from . import qrsolver
+
     try:
         expr = qrsolver.parse(args.expression)
-    except ParseError as e:
+    except qrsolver.ParseError as e:
         raise CliError(f"bad expression: {e}")
     classes = qrsolver.to_classes(expr)
     dens = qrsolver.density(classes)
@@ -332,8 +323,10 @@ def cmd_density(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .curvedb import verify
+
     record = _database(args).get(args.label)
-    report = curvedb.verify(record)
+    report = verify(record)
     doc = {
         "command": "curve",
         "label": record.label,
@@ -434,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except _DOMAIN_ERRORS as e:
+    except (FermatsymError, OSError) as e:
         message = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import FermatsymError
 from .ecmodel import (
     DegenerateModelError,
     ReductionKind,
@@ -36,15 +37,15 @@ _EMBEDDED_CURVES = """\
 120b1 | 120 | -1 | 2:8,3:1,5:1 | addpg | true  | [0,1,0,4,0]"""
 
 
-class UnknownLabelError(KeyError):
+class UnknownLabelError(FermatsymError, KeyError):
     pass
 
 
-class UnknownLevelError(KeyError):
+class UnknownLevelError(FermatsymError, KeyError):
     pass
 
 
-class OverrideFormatError(ValueError):
+class OverrideFormatError(FermatsymError, ValueError):
     pass
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qrsolver
+from . import FermatsymError, qrsolver
 from .curvedb import CurveDatabase, CurveRecord, parse_line_file, parse_prime_map, split_fields
 from .qrsolver import FALSE, Atom, SignExpr, all_of, any_of
 from .symplectic import (
@@ -30,15 +30,15 @@ from .symplectic import (
 )
 
 
-class UnknownEquationError(Exception):
+class UnknownEquationError(FermatsymError):
     pass
 
 
-class ScenarioFormatError(ValueError):
+class ScenarioFormatError(FermatsymError, ValueError):
     pass
 
 
-class IncompatibleCandidateError(Exception):
+class IncompatibleCandidateError(FermatsymError):
     pass
 
 

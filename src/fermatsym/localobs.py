@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
+from . import FermatsymError
 from .ntkernel import factor_small, is_prime, primes_in, valuation
 
 # The most unit p-th powers (mu_k in F_q*, or the p - 1 units t^p mod p^2 at
@@ -61,7 +62,7 @@ KMAX_BOUND = 10**5
 TABLE_BITS = 1536
 
 
-class PreconditionError(Exception):
+class PreconditionError(FermatsymError):
     pass
 
 

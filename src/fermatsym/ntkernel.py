@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, isqrt, prod
 
+from . import FermatsymError
+
 TRIAL_DIVISION_BOUND = 10**6
 
 # Deterministic Miller-Rabin: the first r primes as witnesses decide every n
@@ -33,7 +35,7 @@ _WITNESS_PRODUCT = prod(_MR_WITNESSES)
 _TRIAL_LIMIT = 1000
 
 
-class FactorizationError(Exception):
+class FactorizationError(FermatsymError):
     """Raised when an input is out of reach of trial division."""
 
 

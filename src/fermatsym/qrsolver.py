@@ -22,6 +22,7 @@ from functools import cached_property, reduce
 from math import lcm
 from operator import and_, or_
 
+from . import FermatsymError
 from .ntkernel import factor_small, jacobi, squarefree_part
 from .symplectic import QRConstraint
 
@@ -248,7 +249,7 @@ def parse(text: str) -> SignExpr:
 CLASS_BOUND = 10**6
 
 
-class ClassBoundError(Exception):
+class ClassBoundError(FermatsymError):
     """The answer needs more residues or sign patterns than CLASS_BOUND."""
 
 
@@ -398,15 +399,15 @@ def decompose(classes: CongruenceClassSet) -> list[tuple[int, int]]:
     """Greedy cover by single classes of the smallest possible moduli.
 
     Returns (residue, modulus) pairs; e.g. {5,13,23} mod 24 comes out as
-    [(5, 8), (23, 24)].  A class mod d fixes the characters whose moduli
-    divide d and leaves the others free, and a class set is a union of
-    patterns.  So for each d that is the lcm of some characters' moduli, in
-    increasing order, a class mod d is taken iff every pattern extending it
-    is still uncovered.
+    [(5, 8), (23, 24)], and every pattern, whatever the characters, as
+    [(1, 1)].  A class mod d fixes the characters whose moduli divide d and
+    leaves the others free, and a class set is a union of patterns.  So for
+    each d that is the lcm of some characters' moduli, in increasing order,
+    a class mod d is taken iff every pattern extending it is still uncovered.
     """
     moduli = [_modulus(b) for b in classes.characters]
-    if not moduli:
-        return [(1, 1)] if classes.patterns else []
+    if len(classes.patterns) == 1 << len(moduli):
+        return [(1, 1)]
     least = {1}
     for m in moduli:
         least |= {lcm(d, m) for d in least}

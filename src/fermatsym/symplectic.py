@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import FermatsymError
 from .ntkernel import squarefree_part
 
 
-class CriterionError(Exception):
+class CriterionError(FermatsymError):
     """A criterion was invoked outside its hypotheses."""
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fermatsym import cli, qrsolver
+from fermatsym import FermatsymError, cli, curvedb, ecmodel, freypipe, localobs, ntkernel, qrsolver, symplectic
 from fermatsym.localobs import KMAX_BOUND, Witness, check_witness
 from fermatsym.qrsolver import NESTING_BOUND
 
@@ -533,6 +533,53 @@ class TestOverridesPlumbing:
         assert out == ""
         assert f"{path}: not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+class TestErrorMapping:
+    # main reports these ten and OSError as usage or data errors (exit 2)
+    EXIT_2 = (
+        curvedb.UnknownLabelError,
+        curvedb.UnknownLevelError,
+        curvedb.OverrideFormatError,
+        localobs.PreconditionError,
+        ntkernel.FactorizationError,
+        qrsolver.ClassBoundError,
+        freypipe.UnknownEquationError,
+        freypipe.ScenarioFormatError,
+        freypipe.IncompatibleCandidateError,
+        symplectic.CriterionError,
+    )
+    # faults of the program, which must not pass for bad input
+    RAISED = (
+        ecmodel.DegenerateModelError,
+        ecmodel.NonIntegralTransformError,
+        localobs._WalkBudgetError,
+    )
+
+    def test_the_ten_are_the_fermatsym_errors(self):
+        assert set(FermatsymError.__subclasses__()) == set(self.EXIT_2)
+        assert not any(issubclass(e, FermatsymError) for e in (*self.RAISED, qrsolver.ParseError, cli.CliError))
+        for error in (curvedb.UnknownLabelError, curvedb.UnknownLevelError):
+            assert issubclass(error, KeyError)
+        for error in (curvedb.OverrideFormatError, freypipe.ScenarioFormatError):
+            assert issubclass(error, ValueError)
+
+    @pytest.mark.parametrize("error", [*EXIT_2, FileNotFoundError])
+    def test_exit_2(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("the message")
+
+        monkeypatch.setattr(cli, "cmd_density", fail)
+        assert run_cli(capsys, "density", "(2)=1") == (2, "", "error: the message\n")
+
+    @pytest.mark.parametrize("error", RAISED)
+    def test_internal_faults_are_not_exit_2(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("the message")
+
+        monkeypatch.setattr(cli, "cmd_density", fail)
+        with pytest.raises(error):
+            cli.main(["density", "(2)=1"])
 
 
 # The full text output of each command.  The text is rendered from the same

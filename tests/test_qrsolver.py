@@ -92,8 +92,8 @@ def ref_canonicalize(classes):
 
 def ref_decompose(classes):
     m, residues = classes
-    if m <= 1:
-        return [(1, 1)] if residues else []
+    if residues == set(ref_coprime(m)):
+        return [(1, 1)]
     remaining, out = set(residues), []
     for d in (d for d in range(1, m + 1) if m % d == 0):
         for rd, fibre in sorted(ref_fibres(m, d).items()):
@@ -312,6 +312,17 @@ class TestCanonicalize:
     def test_decompose_minimal_moduli(self):
         assert decompose(cells(24, {5, 13, 23})) == [(5, 8), (23, 24)]
         assert decompose(cells(24, {5, 13, 19})) == [(5, 8), (19, 24)]
+
+    def test_decompose_on_unused_characters(self):
+        # every pattern is all p, whatever the characters
+        for characters in [(), (-1,), (-1, 2, 3)]:
+            classes = CongruenceClassSet(characters, frozenset(range(1 << len(characters))))
+            assert decompose(classes) == [(1, 1)]
+            assert str(classes) == "all p"
+        # (-1/p) = -1 whatever (2/p) is
+        classes = CongruenceClassSet((-1, 2), frozenset({1, 3}))
+        assert decompose(classes) == [(3, 4)]
+        assert str(classes) == "p ≡ 3 (mod 4)"
 
     def test_str_format(self):
         classes = cells(24, {5, 13, 23})
