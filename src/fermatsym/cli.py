@@ -424,10 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (FermatsymError, OSError) as e:
+    except (CliError, FermatsymError, OSError) as e:
         message = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR

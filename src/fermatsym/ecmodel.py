@@ -1,10 +1,10 @@
 """Weierstrass models over Z: invariants, coordinate changes, minimal models.
 
 This module is the oracle layer: curve-database entries and valuation
-profiles are validated against it.  For a scale factor prime to 6, three
-linear congruences fix the coordinate change; minimality at 2 and 3 is
-established by a bounded exhaustive search over coordinate changes rather
-than Tate's algorithm; correctness is easy to argue and the inputs are tiny.
+profiles are validated against it.  Minimization takes one prime u, and one
+step of scale factor u, at a time.  For u > 3 three linear congruences fix
+the change of coordinates; at 2 and 3 a search over at most 3*9*27 changes
+stands in for Tate's algorithm: easy to argue, and the inputs are tiny.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> Weiers
 
 
 def _reduction_step(model: WeierstrassModel, u: int) -> WeierstrassModel | None:
-    """An integral model with delta/u^12, if one exists.
+    """An integral model with delta/u^12 for the prime u, if one exists.
 
     Takes s mod u, r mod u^2, t mod u^3 that make a1', a2', a3' integral;
     modulo post-composition with integral unimodular changes this covers
@@ -158,36 +158,26 @@ def _reduce_unimodular(model: WeierstrassModel) -> WeierstrassModel:
     return transform(m, 1, 0, 0, t)
 
 
+def _minimal_at(model: WeierstrassModel, ell: int, e: int) -> tuple[WeierstrassModel, int]:
+    """The model made minimal at the prime ell, given e = v_ell(delta), and its new v_ell."""
+    while e >= 12 and (smaller := _reduction_step(model, ell)) is not None:
+        model, e = smaller, e - 12
+    return model, e
+
+
 def minimal_model(model: WeierstrassModel) -> tuple[WeierstrassModel, dict[int, int]]:
     """A global minimal model and the valuations of its discriminant.
 
-    The result is put in the standard reduced form (a1, a3 in {0,1},
-    a2 in {-1,0,1}), which makes the operation idempotent.
+    Factors delta once and minimizes at each of its primes.  The result is
+    put in the standard reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}),
+    which makes the operation idempotent.
     """
-    inv = invariants(model)  # validates delta != 0
-    current = model
-    delta = inv.delta
-    while True:
-        fac = factor_small(delta)
-        reduced = False
-        for ell, e in fac.factors.items():
-            # scale factors ell^k with 12k <= v_ell(delta), single steps first
-            k = 1
-            while 12 * k <= e and not reduced:
-                smaller = _reduction_step(current, ell**k)
-                if smaller is not None:
-                    current = smaller
-                    delta = invariants(current).delta
-                    reduced = True
-                k += 1
-            if reduced:
-                break
-        if not reduced:
-            break
-    current = _reduce_unimodular(current)
-    delta = invariants(current).delta
-    vals = {p: e for p, e in factor_small(delta).factors.items()}
-    return current, vals
+    vals = {}
+    for ell, e in factor_small(invariants(model).delta).factors.items():
+        model, e = _minimal_at(model, ell, e)
+        if e:
+            vals[ell] = e
+    return _reduce_unimodular(model), vals
 
 
 def reduction_type(model: WeierstrassModel, ell: int) -> ReductionType:

@@ -286,7 +286,7 @@ def _inertia_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
             branch_exprs.append(branch_atom)
         elif pending:
             violations = any_of(Atom(c.negated()) for c in pending)
-            branch_exprs.append(branch_atom & violations)
+            branch_exprs.append(all_of((branch_atom, violations)))
     elimination = any_of(branch_exprs) if branch_exprs else FALSE
     return CaseReport(record.label, "inertia_at_two", tuple(subcases), elimination)
 

@@ -40,14 +40,7 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class SignExpr:
-    def __and__(self, other: "SignExpr") -> "SignExpr":
-        return And((self, other))
-
-    def __or__(self, other: "SignExpr") -> "SignExpr":
-        return Or((self, other))
-
-    def __invert__(self) -> "SignExpr":
-        return Not(self)
+    """A node of a constraint expression: Atom, Not, And or Or."""
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,21 @@ import time
 
 import pytest
 
+from fermatsym.curvedb import _EMBEDDED
 from fermatsym.ecmodel import (
     DegenerateModelError,
     NonIntegralTransformError,
     ReductionKind,
     WeierstrassModel,
+    _minimal_at,
+    _reduce_unimodular,
     _reduction_step,
     invariants,
     minimal_model,
     reduction_type,
     transform,
 )
-from fermatsym.ntkernel import valuation
+from fermatsym.ntkernel import FactorizationError, factor_small, is_prime, valuation
 
 
 def inverse_transform(model, u, r, s, t):
@@ -36,7 +39,7 @@ def inverse_transform(model, u, r, s, t):
 
 def reference_reduction_step(model, u):
     # the exhaustive search over s mod u, r mod u^2, t mod u^3 that
-    # _reduction_step keeps only for u a power of 2 or 3
+    # _reduction_step keeps for u not prime to 6
     a1, a2, a3 = model.a1, model.a2, model.a3
     for s in range(u):
         if (a1 + 2 * s) % u != 0:
@@ -52,6 +55,31 @@ def reference_reduction_step(model, u):
                 except NonIntegralTransformError:
                     continue
     return None
+
+
+def reference_minimal_model(model):
+    # the whole-discriminant loop that minimal_model replaced, kept only as a
+    # reference: reduce at the first prime ell that allows a step of scale
+    # ell^k, then factor the new discriminant again, until no prime reduces
+    current = model
+    delta = invariants(model).delta
+    while True:
+        reduced = False
+        for ell, e in factor_small(delta).factors.items():
+            k = 1
+            while 12 * k <= e and not reduced:
+                smaller = _reduction_step(current, ell**k)
+                if smaller is not None:
+                    current = smaller
+                    delta = invariants(current).delta
+                    reduced = True
+                k += 1
+            if reduced:
+                break
+        if not reduced:
+            break
+    current = _reduce_unimodular(current)
+    return current, dict(factor_small(invariants(current).delta).factors)
 
 
 def random_models(count, seed=20240817, span=20):
@@ -188,6 +216,53 @@ class TestMinimalModel:
             0, 0, 0, -5762503692994869928197124322401, -5324329676593617025239156297507389786626720800
         )
         assert vals == {2: 6, 13: 2, 37: 2, 41: 2, 53: 2, 401: 12, 30637: 2, 64921: 2}
+
+    def test_agrees_with_whole_discriminant_loop(self):
+        # same model and same valuations, key order included: curvedb.verify
+        # prints the dict in its mismatch text
+        rng = random.Random(31)
+        models = [rec.model for rec in _EMBEDDED.values() if rec.model is not None]
+        assert len(models) == 6
+        compared = 0
+        for m in models + random_models(1050, seed=29, span=30):
+            u = rng.choice([1, -1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 25])
+            r, s, t = (rng.randint(-50, 50) for _ in range(3))
+            scaled = inverse_transform(m, u, r, s, t)
+            try:
+                expected, expected_vals = reference_minimal_model(scaled)
+            except FactorizationError:
+                with pytest.raises(FactorizationError):
+                    minimal_model(scaled)
+                continue
+            mm, vals = minimal_model(scaled)
+            assert (mm, list(vals.items())) == (expected, list(expected_vals.items())), (m, u, r, s, t)
+            compared += 1
+        assert compared >= 1000
+
+    def test_factors_the_discriminant_once(self, monkeypatch):
+        import fermatsym.ecmodel as ecmodel
+
+        calls = []
+        monkeypatch.setattr(ecmodel, "factor_small", lambda n: calls.append(n) or factor_small(n))
+        base = WeierstrassModel(0, 0, 0, -1, 0)
+        mm, vals = minimal_model(inverse_transform(inverse_transform(base, 2, 1, 1, 1), 15, 2, 3, 4))
+        assert (mm, vals) == (base, {2: 6})
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_minimal_at_past_trial_division(self, ell):
+        # Y^2 = X(X - A)(X + B) with A a prime past trial division: minimal_model
+        # cannot factor its discriminant, but the step at one prime needs no factoring
+        a = next(n for n in range(10**13 + 1, 10**13 + 1000, 2) if is_prime(n))
+        b = ell**3
+        frey = WeierstrassModel(0, b - a, 0, -a * b, 0)
+        with pytest.raises(FactorizationError):
+            minimal_model(frey)
+        delta = invariants(frey).delta
+        scaled = inverse_transform(frey, ell, 7, -3, 11)
+        mm, e = _minimal_at(scaled, ell, valuation(invariants(scaled).delta, ell))
+        assert e == valuation(delta, ell) == 6
+        assert invariants(mm).delta == delta
 
     @pytest.mark.parametrize("ell", [2, 3, 5, 7])
     def test_minimization_undoes_prime_scaling(self, ell):

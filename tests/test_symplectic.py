@@ -1,6 +1,10 @@
+import random
+from math import gcd
+
 import pytest
 
-from fermatsym.ntkernel import jacobi, squarefree_part
+from fermatsym.ecmodel import ReductionKind, WeierstrassModel, minimal_model, reduction_type
+from fermatsym.ntkernel import factor_small, jacobi, primes_in, squarefree_part
 from fermatsym.symplectic import (
     CriterionError,
     QRConstraint,
@@ -148,3 +152,46 @@ class TestPairwiseConsistency:
                         (constraint,) = pairwise_consistency([(3, v1), (5, v2)], [(3, w1), (5, w2)])
                         assert constraint == QRConstraint(kernel, 1)
                         assert jacobi(kernel, p) == ratio1_square * ratio2_square
+
+
+class TestIsogenyOracle:
+    """A 2-isogeny E -> E' maps E[p] onto E'[p] for odd p and multiplies the
+    Weil pairing by 2, so the isomorphism is symplectic exactly when
+    (2/p) = 1: a type known without the criteria."""
+
+    def test_two_isogenous_frey_curves(self):
+        rng = random.Random(2016)
+        types = {1: SymplecticType.SYMPLECTIC, -1: SymplecticType.ANTI_SYMPLECTIC}
+        criterion_checks = flipped_failures = pairwise_checks = curves = 0
+        while curves < 80:
+            a, b = rng.randint(-2999, 2999), rng.randint(-2999, 2999)
+            if a * b * (a + b) == 0 or gcd(a, b) != 1:
+                continue
+            curves += 1
+            # E: Y^2 = X(X - A)(X + B), and E' = E/<(0,0)> by Velu's formula
+            e, vals = minimal_model(WeierstrassModel(0, b - a, 0, -a * b, 0))
+            e2, vals2 = minimal_model(WeierstrassModel(0, -2 * (b - a), 0, (a + b) ** 2, 0))
+            shared = [
+                ell
+                for ell in factor_small(a * b * (a + b)).factors
+                if ell > 2
+                and reduction_type(e, ell).kind is ReductionKind.MULTIPLICATIVE
+                and reduction_type(e2, ell).kind is ReductionKind.MULTIPLICATIVE
+            ]
+            for p in primes_in(5, 200):
+                at_p = [ell for ell in shared if vals[ell] * vals2[ell] % p]
+                sym, flipped = types[jacobi(2, p)], types[-jacobi(2, p)]
+                for ell in at_p:
+                    held = criterion_multiplicative(vals[ell], vals2[ell], sym)
+                    assert jacobi(held.n, p) == held.sign, (a, b, ell, p)
+                    failed = criterion_multiplicative(vals[ell], vals2[ell], flipped)
+                    flipped_failures += jacobi(failed.n, p) != failed.sign
+                    criterion_checks += 1
+                if len(at_p) >= 2:
+                    profile = [(ell, vals[ell]) for ell in at_p]
+                    candidate = [(ell, vals2[ell]) for ell in at_p]
+                    for c in pairwise_consistency(profile, candidate):
+                        assert jacobi(c.n, p) == c.sign, (a, b, c, p)
+                        pairwise_checks += 1
+        assert flipped_failures == criterion_checks > 15000
+        assert pairwise_checks > 30000
