@@ -2,24 +2,25 @@
 
 Where the prime sits:
 
-* good primes ell prime to p*a*b*c, among them every q = kp + 1 of the
-  scan: every F_ell point lifts to Q_ell (smoothness), so level 1 decides,
+* good primes ell prime to p*a*b*c, among them every q = kp + 1 of the scan
+  (proved prime by Pocklington's test with the prime p | q - 1, as p > k gives
+  p^2 > q): every F_ell point lifts to Q_ell (smoothness), so level 1 decides,
   by one rule in _level_one.  The p-th powers in F_ell* are mu_k, so
   membership is one pow test: three find the points with a zero coordinate.
   The others (chart x = 1) come from a walk over the powers of t^p for
   t = 2, 3, ..., which drops each t whose powers return to 1 before k steps,
   so k is never factored.  About k/p chart points exist, so where k < p one
-  set test over mu_k, built by those products, decides, with set lookups
-  only if there is a point; elsewhere each step is one pow test, and a walk
-  over a mu_k past IMAGE_BOUND stops after IMAGE_BOUND steps.  A p-th root is
-  u^(1/p mod k), or, when p | k, Adleman-Manders-Miller's: one discrete log
-  in the Sylow p-subgroup.  sweep decides most of its q without mu_k: for
-  even k, F_q has a point iff q | D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k)
-  prod_{zeta^k = 1} ((a + b zeta)^k - c^k), an integer free of p (q splits
-  in Q(zeta_k), and zeta goes to a generator of mu_k).  A sweep call builds
-  D_k, by root-squaring and a Bareiss determinant, at k's first q, where D_k
-  has at most about TABLE_BITS bits; a q dividing D_k still goes to
-  _level_one.
+  set test over mu_k, the powers of the first t^p that is no square (k is
+  even, so a square cannot span mu_k), decides, with set lookups only if there
+  is a point; elsewhere each step is one pow test, and a walk over a mu_k past
+  IMAGE_BOUND stops after IMAGE_BOUND steps.  A p-th root is u^(1/p mod k),
+  or, when p | k, Adleman-Manders-Miller's: one discrete log in the Sylow
+  p-subgroup.  sweep decides most of its q without mu_k: for even k, F_q has a
+  point iff q | D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k) prod_{zeta^k = 1}
+  ((a + b zeta)^k - c^k), an integer free of p (q splits in Q(zeta_k), and
+  zeta goes to a generator of mu_k).  A sweep call builds D_k, by
+  root-squaring and a Bareiss determinant, at k's first q, where D_k has at
+  most about TABLE_BITS bits; a q dividing D_k still goes to _level_one.
 * bad primes ell | p*a*b*c: exact, by valuation cases.  Write c_i =
   ell^V_i u_i and v_i = V_i mod p (scaling x_i by ell adds p to V_i).  P,
   the unit p-th powers of Z_ell, is read mod ell^kappa (kappa = 2 at
@@ -101,7 +102,7 @@ class ObstructionSearch:
     undecided: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepEntry:
     p: int
     obstruction: int | None
@@ -257,9 +258,11 @@ def _chart(p: int, q: int, k: int):
 
 
 def _mu(p: int, q: int, k: int) -> set[int]:
-    """mu_k mod q, built by products: the powers of the t^p that ends _chart."""
+    """mu_k mod q: the powers of the first t^p that is no square, (t^p)^(k/2) != 1."""
     for t in itertools.count(2):
         mu, w = {1}, pow(t, p, q)
+        if pow(w, k // 2, q) == 1:
+            continue
         s = w
         while s != 1:
             mu.add(s)
@@ -411,7 +414,7 @@ def _scan_q(
     cutoff, abc = weil_cutoff(p), a * b * c
     for k in range(2, k_max + 1, 2):
         q = k * p + 1
-        if not is_prime(q) or abc % q == 0:
+        if not is_prime(q, p) or abc % q == 0:
             continue
         if q > cutoff:
             break
@@ -436,7 +439,8 @@ def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> l
     large-exponent claims); per-prime Q_ell analysis is has_local_obstruction's
     job.  Deterministic for fixed k_max.  One table of D_k serves the whole
     call, for the k with k^2 bitlen(|a| + |b| + |c|) <= TABLE_BITS (see
-    _scan_q); an entry's elapsed_ms is its own scan, a build included.
+    _scan_q); an entry's elapsed_ms runs from the end of the previous entry
+    (the first from the end of the sieve), so it is its own scan, a build included.
     """
     _check_k_max(k_max)
     if p_min > p_max:
@@ -444,10 +448,11 @@ def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> l
     if p_max - p_min > SWEEP_BOUND or p_max > SWEEP_BOUND**2:
         raise PreconditionError(f"[{p_min}, {p_max}) is wider than SWEEP_BOUND or ends past its square")
     k_table = isqrt(TABLE_BITS // ((abs(a) + abs(b) + abs(c)).bit_length() or 1))
-    entries, tables = [], dict.fromkeys(range(2, k_table + 1, 2))
-    for p in primes_in(p_min, p_max):
+    primes = primes_in(p_min, p_max)
+    entries, tables, clock = [], dict.fromkeys(range(2, k_table + 1, 2)), time.monotonic_ns()
+    for p in primes:
         if p > 2:
-            started = time.monotonic_ns()
             q, k = _scan_q(a, b, c, p, k_max, tables)
-            entries.append(SweepEntry(p, q, k, (time.monotonic_ns() - started) // 1_000_000))
+            started, clock = clock, time.monotonic_ns()
+            entries.append(SweepEntry(p, q, k, (clock - started) // 1_000_000))
     return entries

@@ -65,9 +65,12 @@ def jacobi(n: int, m: int) -> int:
     return result if m == 1 else 0
 
 
-def is_prime(n: int) -> bool:
+def is_prime(n: int, f: int | None = None) -> bool:
     """Deterministic primality test for 0 <= n < psi_13 (about 3.3e24);
-    FactorizationError past it unless a witness prime divides n."""
+    FactorizationError past it unless a witness prime divides n.  A prime f
+    with f | n - 1 and f^2 > n adds Pocklington's test: 2^(n-1) != 1 mod n
+    shows n composite, and gcd(2^((n-1)/f) - 1, n) = 1 prime, as then each
+    prime r | n has f | ord_r(2) | r - 1, so r > sqrt(n).  Else Miller-Rabin."""
     if n < 0:
         raise ValueError("is_prime expects a non-negative integer")
     if not (n % 3 and n % 5 and n % 7 and n % 11 and n % 13):  # cheaper than the gcd
@@ -78,6 +81,12 @@ def is_prime(n: int) -> bool:
         return n in _TRIAL_PRIMES
     if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
         return n > 1
+    if f and f * f > n and (n - 1) % f == 0:
+        x = pow(2, (n - 1) // f, n)
+        if pow(x, f, n) != 1:
+            return False
+        if gcd(x - 1, n) == 1:
+            return True
     for bound, r in _MR_BOUNDS:
         if n < bound:
             break

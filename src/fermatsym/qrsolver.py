@@ -23,7 +23,7 @@ from math import lcm
 from operator import and_, or_
 
 from . import FermatsymError
-from .ntkernel import factor_small, jacobi, squarefree_part
+from .ntkernel import factor_small, jacobi
 from .symplectic import QRConstraint
 
 
@@ -69,7 +69,7 @@ FALSE = Atom(QRConstraint(1, -1))
 
 def atom(n: int, sign: int) -> Atom:
     """Atom (n/p) = sign with n reduced to its squarefree part."""
-    return Atom(QRConstraint(squarefree_part(n), sign))
+    return Atom(QRConstraint(n, sign))
 
 
 def all_of(exprs) -> SignExpr:

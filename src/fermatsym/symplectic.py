@@ -28,7 +28,8 @@ class SymplecticType(Enum):
 
 @dataclass(frozen=True, order=True)
 class QRConstraint:
-    """The condition (n/p) = sign for the exponent prime p; n squarefree."""
+    """The condition (n/p) = sign for the exponent prime p; n is stored as its
+    squarefree part, which has the same Legendre symbol for p prime to n."""
 
     n: int
     sign: int
@@ -36,8 +37,7 @@ class QRConstraint:
     def __post_init__(self):
         if self.n == 0:
             raise ValueError("constraint kernel must be nonzero")
-        if squarefree_part(self.n) != self.n:
-            raise ValueError(f"constraint kernel {self.n} is not squarefree")
+        object.__setattr__(self, "n", squarefree_part(self.n))
         if self.sign not in (1, -1):
             raise ValueError(f"constraint sign must be +-1, got {self.sign}")
 
@@ -90,7 +90,7 @@ def criterion_multiplicative(v: int, v_candidate: int, sym_type: SymplecticType)
     if sym_type is SymplecticType.UNKNOWN:
         raise CriterionError("criterion needs a known symplectic type; use pairwise_consistency")
     sign = 1 if sym_type is SymplecticType.SYMPLECTIC else -1
-    return QRConstraint(squarefree_part(v * v_candidate), sign)
+    return QRConstraint(v * v_candidate, sign)
 
 
 def pairwise_consistency(
@@ -116,6 +116,5 @@ def pairwise_consistency(
     out = []
     for i, l1 in enumerate(shared):
         for l2 in shared[i + 1 :]:
-            s = squarefree_part(prof[l1] * prof[l2] * cand[l1] * cand[l2])
-            out.append(QRConstraint(s, 1))
+            out.append(QRConstraint(prof[l1] * prof[l2] * cand[l1] * cand[l2], 1))
     return out

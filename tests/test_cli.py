@@ -324,7 +324,23 @@ class TestSweep:
     )
     def test_json_bytes_are_pinned(self, capsys, eq, digest):
         # every (p, q, k) of a 2 000-exponent window; a change to any entry fails here
-        code, out, _ = run_cli(capsys, "sweep", "--eq=" + eq, "--pmin", "11", "--pmax", "20000", "--json")
+        self.assert_json_digest(capsys, eq, "11", "20000", digest)
+
+    @pytest.mark.parametrize(
+        "eq, digest",
+        [
+            ("3,4,5", "73f956a78b8ec6189524e8074176368586b0cb10d085412b51fe2d7b4dbfd297"),
+            ("3,8,21", "0c72c661f88f67776c2a2c4a0c7623b893d45cfef27952ca24dde0cca2640dcc"),
+        ],
+    )
+    def test_json_bytes_are_pinned_past_q_of_a_million(self, capsys, eq, digest):
+        # the 168 exponents of [99 000, 101 000), where each q = kp + 1 with
+        # k >= 12 passes 10^6 and is proved prime by Pocklington's test
+        self.assert_json_digest(capsys, eq, "99000", "101000", digest)
+
+    @staticmethod
+    def assert_json_digest(capsys, eq, pmin, pmax, digest):
+        code, out, _ = run_cli(capsys, "sweep", "--eq=" + eq, "--pmin", pmin, "--pmax", pmax, "--json")
         assert code == 0
         masked = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
         assert hashlib.sha256(masked.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -33,7 +34,7 @@ from fermatsym.localobs import (
     sweep,
     weil_cutoff,
 )
-from fermatsym.ntkernel import FactorizationError, is_prime, primes_in, valuation
+from fermatsym.ntkernel import FactorizationError, factor_small, is_prime, primes_in, valuation
 
 
 def projective_points_exist(a, b, c, p, q):
@@ -978,6 +979,48 @@ class TestSweep:
             (99999999999971, 799999999999769, 8),
             (99999999999973, 2199999999999407, 22),
         ]
+
+
+def exceptional_exponents(a, b, c):
+    """(E, K): for each even k <= K, E_k is the set of primes p with kp + 1 a
+    prime factor of D_k, the p at which q = kp + 1 has an F_q point; K is the
+    last k whose D_k (the Fraction circulant) factor_small can factor."""
+    E = {}
+    for k in itertools.count(2, 2):
+        try:
+            factors = factor_small(obstruction_integer(a, b, c, k)).factors
+        except FactorizationError:
+            return E, k - 2
+        E[k] = {(r - 1) // k for r in factors if r % k == 1 and is_prime((r - 1) // k)}
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("eq, K", [((3, 4, 5), 18), ((3, 8, 21), 12)])
+    def test_first_k_outside_the_exceptional_exponents(self, eq, K):
+        # sweep's k is the first even k <= K with kp + 1 prime, kp + 1 not
+        # dividing abc and p not in E_k (the Weil cutoff is past 200p + 1 from
+        # p = 11 on), or past K when there is none; E_k comes from factoring
+        # D_k alone, with no walk, set test or Pocklington step
+        E, k_stop = exceptional_exponents(*eq)
+        assert k_stop == K
+        abc = eq[0] * eq[1] * eq[2]
+        skipped, decided, past_a_million = set(), 0, 0
+        for p_min, p_max in ((11, 3000), (99000, 101000)):
+            for e in sweep(*eq, p_min, p_max):
+                p, rule = e.p, None
+                for k in range(2, K + 1, 2):
+                    if is_prime(k * p + 1) and abc % (k * p + 1):
+                        if p not in E[k]:
+                            rule = k
+                            break
+                        skipped.add(p)
+                if rule is None:
+                    assert e.k is None or e.k > K, e
+                else:
+                    assert (e.obstruction, e.k) == (rule * p + 1, rule), e
+                    decided += 1
+                    past_a_million += e.obstruction > 10**6
+        assert skipped and decided > 400 and past_a_million > 20
 
 
 class TestSweepTables:

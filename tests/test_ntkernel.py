@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,90 @@ class TestIsPrime:
             else:
                 with pytest.raises(FactorizationError):
                     is_prime(n)
+
+
+# The 113 base-2 Fermat pseudoprimes n in (10^6, 10^7) for which n - 1 has a
+# prime factor f with f^2 > n, found by testing 2^(n-1) = 1 mod n on every
+# n = r mod r*ord_r(2) (the form each prime r | n forces) for primes r < sqrt(10^7)
+FERMAT_PSEUDOPRIMES_WITH_A_LARGE_FACTOR = (
+    1018921, 1050985, 1064053, 1073021, 1093417, 1104349, 1132657, 1157689, 1394185, 1485177,
+    1507963, 1509709, 1530787, 1533961, 1549411, 1620385, 1711381, 1719601, 1773289, 1809697,
+    1815465, 1826203, 1892185, 1969417, 1993537, 1994689, 2008597, 2077545, 2121301, 2134277,
+    2162721, 2232865, 2304167, 2434651, 2503501, 2528921, 2617451, 2722681, 2748023, 2780731,
+    2882265, 2921161, 2940337, 2977217, 2987167, 3116107, 3165961, 3224065, 3235699, 3336319,
+    3345773, 3375487, 3471071, 3898129, 3916261, 4025905, 4038673, 4072729, 4097791, 4314967,
+    4360621, 4361389, 4463641, 4513841, 4670029, 4806061, 4868701, 4869313, 4895065, 4917331,
+    5034601, 5095177, 5131589, 5187637, 5258701, 5351537, 5529745, 5599765, 5672041, 6054985,
+    6183601, 6236473, 6242685, 6474691, 6631549, 6658669, 6733693, 6749021, 6836233, 6886321,
+    6973057, 6973063, 7233265, 7259161, 7428421, 7429117, 7803769, 7883731, 8012845, 8095447,
+    8180461, 8812273, 9037729, 9084223, 9106141, 9224391, 9480461, 9591661, 9692453, 9774181,
+    9834781, 9890881, 9995671,
+)
+
+
+def pocklington_steps(n, f):
+    """The two steps of is_prime's Pocklington test, without its checks on f:
+    False (composite), True (prime) or None (left to Miller-Rabin)."""
+    x = pow(2, (n - 1) // f, n)
+    if pow(x, f, n) != 1:
+        return False
+    return True if gcd(x - 1, n) == 1 else None
+
+
+class TestPocklington:
+    def test_agrees_with_miller_rabin_on_q_equal_kp_plus_one(self):
+        # what the q-scan asks: p prime, k even and k < p, so p^2 > q = kp + 1;
+        # every k below p = 1009..1399 (q up to 1.4e6), k <= 300 at p near
+        # 1e5, and seeded k < 2000 at p from 1e6 to 1e12
+        rng = random.Random(24)
+        pairs = [(p, k) for p in primes_in(1009, 1400) for k in range(2, p, 2)]
+        pairs += [(p, k) for p in primes_in(10**5, 10**5 + 1000) for k in range(2, 301, 2)]
+        for e in range(6, 13):
+            for _ in range(300):
+                p = rng.randrange(10**e, 10 ** (e + 1))
+                while not is_prime(p):
+                    p += 1
+                pairs.append((p, rng.randrange(2, 2000, 2)))
+        primes = large = 0
+        for p, k in pairs:
+            q = k * p + 1
+            assert is_prime(q, p) == is_prime(q), (p, k)
+            primes += is_prime(q)
+            large += q >= 10**6
+        assert len(pairs) > 40000 and primes > 5000 and large > 20000
+
+    def test_fermat_pseudoprimes_fail_at_the_gcd_step(self):
+        # 2^(n-1) = 1 mod n passes, so only the gcd step stands between each n
+        # and a wrong "prime": it finds a factor, as every prime r | n has
+        # ord_r(2) | k = (n - 1)/f, and Miller-Rabin then says composite.  The
+        # 18 with no prime factor below 1000 get past trial division to it.
+        assert FERMAT_PSEUDOPRIMES_WITH_A_LARGE_FACTOR[0] == 1018921 == 840 * 1213 + 1
+        assert len(FERMAT_PSEUDOPRIMES_WITH_A_LARGE_FACTOR) == 113
+        past_trial_division = 0
+        for n in FERMAT_PSEUDOPRIMES_WITH_A_LARGE_FACTOR:
+            factors = factor_small(n).factors
+            assert sum(factors.values()) > 1 and pow(2, n - 1, n) == 1, n
+            f = max(factor_small(n - 1).factors)
+            assert f * f > n, n
+            assert pocklington_steps(n, f) is None and pow(2, (n - 1) // f, n) == 1, n
+            assert not is_prime(n, f), n
+            past_trial_division += min(factors) > 1000
+        assert past_trial_division == 18
+
+    def test_ignores_a_factor_that_is_too_small(self):
+        # f | n - 1 but f^2 <= n: on these pseudoprimes, with no prime factor
+        # below 1000, the gcd step would wrongly say "prime"
+        for n, f in ((1678541, 2), (2134277, 149), (6955541, 761), (9006401, 433)):
+            assert (n - 1) % f == 0 and f * f <= n and pocklington_steps(n, f) is True, n
+            assert min(factor_small(n).factors) > 1000, n
+            assert not is_prime(n, f) and not reference_is_prime(n), n
+
+    def test_ignores_a_factor_that_does_not_divide_n_minus_1(self):
+        # f^2 > n but f does not divide n - 1: on a prime n the Fermat step
+        # would wrongly say "composite"
+        for n, f in ((1000003, 1009), (1000003, 1013), (10**12 + 39, 10**6 + 3)):
+            assert (n - 1) % f and f * f > n and pocklington_steps(n, f) is False, n
+            assert is_prime(n, f) and reference_is_prime(n), n
 
 
 def reference_primes_in(lo, hi):

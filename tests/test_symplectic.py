@@ -20,9 +20,15 @@ class TestQRConstraint:
         with pytest.raises(ValueError):
             QRConstraint(0, 1)
         with pytest.raises(ValueError):
-            QRConstraint(12, 1)  # not squarefree
-        with pytest.raises(ValueError):
             QRConstraint(2, 0)
+
+    def test_kernel_is_stored_squarefree(self):
+        # (12/p) = (3/p) for p > 3: the constraint keeps the squarefree part
+        assert QRConstraint(12, 1) == QRConstraint(3, 1)
+        assert QRConstraint(12, 1).n == 3
+        assert QRConstraint(-8, -1) == QRConstraint(-2, -1)
+        assert QRConstraint(49, 1).n == 1
+        assert str(QRConstraint(-75, 1)) == "(-3)=+1"
 
     def test_negated(self):
         assert QRConstraint(-6, 1).negated() == QRConstraint(-6, -1)
