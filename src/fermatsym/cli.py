@@ -191,7 +191,7 @@ def cmd_local(args) -> int:
     from . import localobs
 
     a, b, c = _parse_equation(args.eq)
-    res = localobs.solvable_over_Ql(a, b, c, args.p, args.ell, args.max_level)
+    res = localobs.solvable_over_Ql(a, b, c, args.p, args.ell)
     witness = None
     if res.witness is not None:
         witness = {
@@ -386,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", required=True, metavar="A,B,C")
     p.add_argument("--p", required=True, type=int, help="exponent prime")
     p.add_argument("--ell", required=True, type=int, help="place to test")
-    p.add_argument("--max-level", type=int, default=None, help="depth cap (default: none)")
     add_common(p)
     p.set_defaults(func=cmd_local)
 

@@ -14,7 +14,7 @@ a per-equation local analysis this engine does not redo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import FermatsymError, qrsolver
@@ -69,7 +69,7 @@ class FreyScenario:
     parity_case: str  # "y_odd" | "y_even"
     profile: dict[int, ValuationEntry]
     lowered_level: int
-    candidates: tuple[str, ...]
+    candidates: tuple[str, ...]  # () for a line's "*", which scenarios() fills in
     exponent_floor: ExponentFloor
 
 
@@ -135,30 +135,21 @@ def scenarios(
     """Per-parity Frey scenarios for an equation a x^p + b y^p + c z^p = 0."""
     db = db or CurveDatabase()
     key = (a, b, c)
-    if scenario_path is not None:
-        table = load_scenarios(scenario_path)
-        if key in table:
-            return _build(key, table[key], db)
-    if key in _EMBEDDED:
-        return _build(key, _EMBEDDED[key], db)
-    raise UnknownEquationError(
-        f"no embedded scenario data for equation {a},{b},{c}; "
-        "supply a scenario file (--scenarios) describing its parity cases"
-    )
-
-
-def _build(key, raw_list, db: CurveDatabase) -> list[FreyScenario]:
-    return [
-        FreyScenario(
-            coefficients=key,
-            parity_case=raw["parity"],
-            profile=dict(raw["profile"]),
-            lowered_level=raw["level"],
-            candidates=raw["candidates"]
-            or tuple(rec.label for rec in db.candidates_for_level(raw["level"])),
-            exponent_floor=raw["floor"],
+    table = load_scenarios(scenario_path) if scenario_path is not None else {}
+    listed = table.get(key, _EMBEDDED.get(key))
+    if listed is None:
+        raise UnknownEquationError(
+            f"no embedded scenario data for equation {a},{b},{c}; "
+            "supply a scenario file (--scenarios) describing its parity cases"
         )
-        for raw in raw_list
+    return [
+        replace(
+            scen,
+            profile=dict(scen.profile),
+            candidates=scen.candidates
+            or tuple(rec.label for rec in db.candidates_for_level(scen.lowered_level)),
+        )
+        for scen in listed
     ]
 
 
@@ -168,7 +159,7 @@ def _valuation_entry(text: str) -> ValuationEntry:
     return ValuationEntry(v, v if exact else None)
 
 
-def parse_scenario_line(line: str) -> tuple[tuple[int, int, int], dict]:
+def parse_scenario_line(line: str) -> FreyScenario:
     """One parity case of one equation per line; a candidates field of
     ``*`` stands for every curve whose conductor is the level."""
     eq_s, parity, level_s, profile_s, cand_s, floor_s = split_fields(line, 6, ScenarioFormatError)
@@ -188,10 +179,8 @@ def parse_scenario_line(line: str) -> tuple[tuple[int, int, int], dict]:
     candidates = tuple(x.strip() for x in cand_s.split(",") if x.strip())
     if not candidates:
         raise ScenarioFormatError("scenario needs at least one candidate label")
-    if "*" in candidates:
-        if candidates != ("*",):
-            raise ScenarioFormatError("'*' stands for every candidate and takes no labels beside it")
-        candidates = None
+    if "*" in candidates and candidates != ("*",):
+        raise ScenarioFormatError("'*' stands for every candidate and takes no labels beside it")
     floor_s = floor_s.replace(" ", "")
     try:
         if floor_s.startswith("p>="):
@@ -202,23 +191,17 @@ def parse_scenario_line(line: str) -> tuple[tuple[int, int, int], dict]:
             raise ValueError
     except ValueError:
         raise ScenarioFormatError(f"bad exponent floor {floor_s!r} (use p>N or p>=N)") from None
-    return eq, {
-        "parity": parity,
-        "level": level,
-        "profile": profile,
-        "candidates": candidates,
-        "floor": floor,
-    }
+    return FreyScenario(eq, parity, profile, level, () if candidates == ("*",) else candidates, floor)
 
 
-def _by_equation(parsed) -> dict[tuple[int, int, int], list[dict]]:
-    table: dict[tuple[int, int, int], list[dict]] = {}
-    for eq, scenario in parsed:
-        table.setdefault(eq, []).append(scenario)
+def _by_equation(parsed) -> dict[tuple[int, int, int], list[FreyScenario]]:
+    table: dict[tuple[int, int, int], list[FreyScenario]] = {}
+    for scenario in parsed:
+        table.setdefault(scenario.coefficients, []).append(scenario)
     return table
 
 
-def load_scenarios(path: str) -> dict[tuple[int, int, int], list[dict]]:
+def load_scenarios(path: str) -> dict[tuple[int, int, int], list[FreyScenario]]:
     return _by_equation(parse_line_file(path, parse_scenario_line, ScenarioFormatError))
 
 
@@ -254,13 +237,7 @@ def _inertia_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
     subcases = []
     branch_exprs = []
     for eps in (-1, 1):
-        sym = criterion_at_two(
-            v2.exact,
-            record.disc_valuations[2],
-            eps,
-            frey_sl2f3=True,
-            candidate_sl2f3=record.inertia_sl2f3_at_2,
-        )
+        sym = criterion_at_two(v2.exact, record.disc_valuations[2], eps)
         steps = []
         pending: list[QRConstraint] = []
         for ell in shared_odd:
@@ -357,5 +334,5 @@ def run_equation(
     total = all_of(all_conditions)
     classes = qrsolver.to_classes(total)
     dens = qrsolver.density(classes)
-    floor = scen_list[0].exponent_floor
+    floor = max((scen.exponent_floor for scen in scen_list), key=lambda f: f.bound + f.strict)
     return EquationReport((a, b, c), tuple(reports), classes, dens, floor)

@@ -28,7 +28,7 @@ Where the prime sits:
   -u_j/u_i in P, (2) ell = p, v_i = v_j and v_k = v_i + 1 mod p, or (3) all
   v_i agree and the unit equation has a point mod ell^kappa (at ell = p by
   one set test over the p - 1 units t^p mod p^2, built the same way).  Only
-  a mu_k past IMAGE_BOUND, or a depth cap, gives "undecided".
+  a mu_k past IMAGE_BOUND gives "undecided".
 * large good primes: a smooth plane curve of genus (p-1)(p-2)/2 over F_q
   has points once q + 1 > (p-1)(p-2)*sqrt(q), so primes above the cutoff
   ((p-1)(p-2))^2 can never obstruct, which turns "no obstruction" into a
@@ -126,7 +126,7 @@ def _check_k_max(k_max: int) -> None:
         raise PreconditionError(f"k_max must be between 2 and KMAX_BOUND = {KMAX_BOUND}, got {k_max}")
 
 
-def _bad_prime(coeffs, p: int, ell: int, max_level: int | None) -> LocalResult:
+def _bad_prime(coeffs, p: int, ell: int) -> LocalResult:
     """The valuation cases of the module docstring at ell | p*a*b*c."""
     vals = [valuation(n, ell) for n in coeffs]
     units = [n // ell**v for n, v in zip(coeffs, vals)]
@@ -176,8 +176,6 @@ def _bad_prime(coeffs, p: int, ell: int, max_level: int | None) -> LocalResult:
             found = [witness((1, *hits[0]))] if hits else []
     best = min(found, key=lambda w: w.level, default=None)
     level = best.level if best else kappa + max(vals)
-    if max_level is not None and level > max_level:
-        return LocalResult("undecided", ell)
     return LocalResult("solvable" if best else "unsolvable", ell, best, level)
 
 
@@ -349,28 +347,24 @@ def check_witness(a: int, b: int, c: int, p: int, ell: int, witness: Witness) ->
     return e == witness.derivative_valuation and 2 * e < witness.level
 
 
-def solvable_over_Ql(
-    a: int, b: int, c: int, p: int, ell: int, max_level: int | None = None
-) -> LocalResult:
+def solvable_over_Ql(a: int, b: int, c: int, p: int, ell: int) -> LocalResult:
     """Decide existence of a nontrivial Q_ell point on a x^p + b y^p + c z^p = 0.
 
     levels_explored is the level the verdict rests on: the witness level, or
-    kappa + max v_ell(c_i) for "unsolvable" (1 at a good prime).  A verdict
-    past max_level, or a walk past IMAGE_BOUND, is "undecided" instead."""
+    kappa + max v_ell(c_i) for "unsolvable" (1 at a good prime).  A mu_k past
+    IMAGE_BOUND gives "undecided" instead."""
     _check_exponent(p)
     if ell < 2 or not is_prime(ell):
         raise PreconditionError(f"{ell} is not prime")
     if a == 0 or b == 0 or c == 0:
         raise PreconditionError("coefficients must be nonzero")
-    if max_level is not None and max_level < 1:
-        raise PreconditionError(f"max_level must be at least 1, got {max_level}")
     if (p * a * b * c) % ell:
         try:
             witness = _level_one((a, b, c), p, ell)
         except _WalkBudgetError:
             return LocalResult("undecided", ell)
         return LocalResult("solvable" if witness else "unsolvable", ell, witness, 1)
-    return _bad_prime((a, b, c), p, ell, max_level)
+    return _bad_prime((a, b, c), p, ell)
 
 
 def bad_primes(a: int, b: int, c: int, p: int) -> list[int]:

@@ -48,14 +48,7 @@ class QRConstraint:
         return f"({self.n})={'+1' if self.sign == 1 else '-1'}"
 
 
-def criterion_at_two(
-    v2_frey: int,
-    v2_candidate: int,
-    legendre_2_p: int,
-    *,
-    frey_sl2f3: bool = True,
-    candidate_sl2f3: bool = True,
-) -> SymplecticType:
+def criterion_at_two(v2_frey: int, v2_candidate: int, legendre_2_p: int) -> SymplecticType:
     """Symplectic type of an isomorphism of p-torsion, decided at 2.
 
     Applies to two curves over Q_2 with potentially good reduction whose
@@ -63,8 +56,6 @@ def criterion_at_two(
     two discriminant exponents must be exact integers, not residues mod p:
     only their difference mod 3 matters, which a mod-p residue cannot supply.
     """
-    if not (frey_sl2f3 and candidate_sl2f3):
-        raise CriterionError("criterion at 2 needs the SL2(F3) inertia property on both curves")
     if legendre_2_p not in (1, -1):
         raise CriterionError(f"legendre_2_p must be +-1, got {legendre_2_p}")
     if legendre_2_p == 1:

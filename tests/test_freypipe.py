@@ -32,53 +32,44 @@ def _entry(residue: int, exact: bool = False) -> ValuationEntry:
     return ValuationEntry(residue, residue if exact else None)
 
 
-# The built-in scenarios as Python literals, the form they had before they
-# became scenario lines: a typo in a line must fail here.
+# The built-in scenarios as Python literals, "*" filled in by the curves at
+# each level: a typo in a line, or a change in how lines are parsed, must
+# fail here.
 REFERENCE = {
     (3, 8, 21): [
-        {
-            "parity": "y_odd",
-            "level": 168,
-            "profile": {2: _entry(10, exact=True), 3: _entry(-2), 7: _entry(2)},
-            "floor": ExponentFloor(strict=True, bound=7),
-        },
-        {
-            "parity": "y_even",
-            "level": 42,
-            "profile": {2: _entry(-2), 3: _entry(-2), 7: _entry(2)},
-            "floor": ExponentFloor(strict=True, bound=7),
-        },
+        FreyScenario(
+            (3, 8, 21), "y_odd", {2: _entry(10, exact=True), 3: _entry(-2), 7: _entry(2)},
+            168, ("168a1", "168b1"), ExponentFloor(strict=True, bound=7),
+        ),
+        FreyScenario(
+            (3, 8, 21), "y_even", {2: _entry(-2), 3: _entry(-2), 7: _entry(2)},
+            42, ("42a1",), ExponentFloor(strict=True, bound=7),
+        ),
     ],
     (3, 4, 5): [
-        {
-            "parity": "y_odd",
-            "level": 120,
-            "profile": {2: _entry(8, exact=True), 3: _entry(2), 5: _entry(2)},
-            "floor": ExponentFloor(strict=False, bound=5),
-        },
-        {
-            "parity": "y_even",
-            "level": 30,
-            "profile": {2: _entry(-4), 3: _entry(2), 5: _entry(2)},
-            "floor": ExponentFloor(strict=False, bound=5),
-        },
+        FreyScenario(
+            (3, 4, 5), "y_odd", {2: _entry(8, exact=True), 3: _entry(2), 5: _entry(2)},
+            120, ("120a1", "120b1"), ExponentFloor(strict=False, bound=5),
+        ),
+        FreyScenario(
+            (3, 4, 5), "y_even", {2: _entry(-4), 3: _entry(2), 5: _entry(2)},
+            30, ("30a1",), ExponentFloor(strict=False, bound=5),
+        ),
     ],
 }
-LEVEL_LABELS = {168: ("168a1", "168b1"), 42: ("42a1",), 120: ("120a1", "120b1"), 30: ("30a1",)}
 
 
 class TestScenarios:
     @pytest.mark.parametrize("eq", sorted(REFERENCE))
     def test_built_in_scenarios_equal_the_reference(self, eq):
-        built = scenarios(*eq)
-        assert len(built) == len(REFERENCE[eq])
-        for scen, ref in zip(built, REFERENCE[eq]):
-            assert scen.coefficients == eq
-            assert scen.parity_case == ref["parity"]
-            assert scen.lowered_level == ref["level"]
-            assert scen.profile == ref["profile"]
-            assert scen.candidates == LEVEL_LABELS[ref["level"]]
-            assert scen.exponent_floor == ref["floor"]
+        assert scenarios(*eq) == REFERENCE[eq]
+
+    def test_mutating_a_returned_scenario_leaves_the_next_call_unchanged(self):
+        for eq in REFERENCE:
+            for scen in scenarios(*eq):
+                scen.profile[2] = _entry(1)
+                scen.profile[11] = _entry(1)
+            assert scenarios(*eq) == REFERENCE[eq]
 
     def test_eq1_y_odd_has_exact_v2(self):
         y_odd, y_even = scenarios(3, 8, 21)
@@ -266,13 +257,14 @@ class TestRunEquation:
 
 class TestScenarioFiles:
     def test_parse_line(self):
-        eq, raw = parse_scenario_line(
+        scen = parse_scenario_line(
             "3,8,21 | y_odd | 168 | 2:10!,3:-2,7:2 | 168a1,168b1 | p>7"
         )
-        assert eq == (3, 8, 21)
-        assert raw["profile"][2] == ValuationEntry(10, 10)
-        assert raw["profile"][3] == ValuationEntry(-2, None)
-        assert raw["floor"] == ExponentFloor(True, 7)
+        assert scen.coefficients == (3, 8, 21)
+        assert scen.profile[2] == ValuationEntry(10, 10)
+        assert scen.profile[3] == ValuationEntry(-2, None)
+        assert scen.exponent_floor == ExponentFloor(True, 7)
+        assert scen == REFERENCE[(3, 8, 21)][0]
 
     @pytest.mark.parametrize(
         "line",
@@ -314,10 +306,27 @@ class TestScenarioFiles:
         scenario.write_text("1,1,1 | y_odd | 77 | 7:3,11:5 | * | p>=5\n")
         (scen,) = scenarios(1, 1, 1, db=db, scenario_path=str(scenario))
         assert scen.candidates == ("77z2",)
-        assert parse_scenario_line("1,1,1 | y_odd | 77 | 7:3 | * | p>=5")[1]["candidates"] is None
+        assert parse_scenario_line("1,1,1 | y_odd | 77 | 7:3 | * | p>=5").candidates == ()
         extra = parse_override_line("168z1 | 168 | 1 | 2:4,3:1,7:1 | addpg | true | -")
         y_odd = scenarios(3, 8, 21, db=CurveDatabase({"168z1": extra}))[0]
         assert y_odd.candidates == ("168a1", "168b1", "168z1")
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["lenient_first", "strict_first"])
+    def test_report_takes_the_strictest_floor_in_either_line_order(self, tmp_path, order):
+        overrides = tmp_path / "curves.txt"
+        overrides.write_text("77z1 | 77 | 1 | 7:3,11:5 | mult | false | -\n")
+        lines = [
+            "1,1,1 | y_odd | 77 | 7:3,11:5 | 77z1 | p>=5",
+            "1,1,1 | y_even | 77 | 7:3,11:5 | 77z1 | p>1000",
+        ]
+        scenario = tmp_path / "scen.txt"
+        scenario.write_text("\n".join(lines[::order]) + "\n")
+        db = CurveDatabase(load_overrides(str(overrides)))
+        report = run_equation(1, 1, 1, db=db, scenario_path=str(scenario))
+        assert [s.scenario.exponent_floor for s in report.scenarios] == [
+            ExponentFloor(False, 5), ExponentFloor(True, 1000)
+        ][::order]
+        assert report.exponent_floor == ExponentFloor(True, 1000)
 
     def test_embedded_equation_still_works_with_scenario_file(self, tmp_path):
         scenario = tmp_path / "scen.txt"

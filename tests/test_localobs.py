@@ -356,8 +356,14 @@ def seeded_bad_prime_cases(seed, count):
     return cases
 
 
+def capped(res: LocalResult, cap: int) -> str:
+    """res.status as read under a depth cap: a verdict resting on a level past
+    cap would be "undecided"."""
+    return res.status if res.levels_explored <= cap else "undecided"
+
+
 def seeded_local_cases(seed, count):
-    """(a, b, c, p, ell, max_level) at the bad primes of seeded equations for
+    """(a, b, c, p, ell, cap) at the bad primes of seeded equations for
     p in {3, 5, 7}, with coefficients divisible by p and by squares; every
     fourth case also at a depth cap below the default."""
     rng = random.Random(seed)
@@ -699,21 +705,23 @@ class TestSolvableOverQl:
         assert not changed
 
     def test_depth_cap_gives_undecided_not_wrong(self):
-        res = solvable_over_Ql(1, 1, 1, 3, 3, max_level=1)
-        assert res.status == "undecided"
-        full = solvable_over_Ql(1, 1, 1, 3, 3)
-        assert full.status == "solvable"
+        # (1 : -1 : 0) certifies only at level 3, so a cap of 1 could not read it
+        res = solvable_over_Ql(1, 1, 1, 3, 3)
+        assert res.status == "solvable"
+        assert capped(res, 1) == "undecided"
+        assert capped(res, 3) == "solvable"
 
     def test_levels_explored_is_the_level_the_verdict_rests_on(self):
         # unsolvable: kappa + max v(c_i), kappa = 2 at ell = p and 1 otherwise;
-        # solvable: the witness level; above max_level: undecided
+        # solvable: the witness level; under a lower cap: undecided
         for a, b, c, p, ell, level in ((3, 8, 21, 3, 3, 3), (3, 8, 21, 3, 7, 2)):
-            assert solvable_over_Ql(a, b, c, p, ell) == LocalResult("unsolvable", ell, None, level)
-            assert solvable_over_Ql(a, b, c, p, ell, level).status == "unsolvable"
-            assert solvable_over_Ql(a, b, c, p, ell, level - 1) == LocalResult("undecided", ell)
+            res = solvable_over_Ql(a, b, c, p, ell)
+            assert res == LocalResult("unsolvable", ell, None, level)
+            assert capped(res, level) == "unsolvable"
+            assert capped(res, level - 1) == "undecided"
         res = solvable_over_Ql(1, 1, 1, 3, 3)
         assert res.levels_explored == res.witness.level == 3
-        assert solvable_over_Ql(1, 1, 1, 3, 3, 3) == res
+        assert capped(res, 3) == "solvable"
 
     def test_rejects_composite_ell(self):
         with pytest.raises(PreconditionError):
@@ -753,25 +761,26 @@ class TestSolvableOverQl:
     def test_agrees_with_survivor_search(self):
         # the survivor search finds every witness of level <= cap, and the
         # valuation cases read the coefficients no deeper than its levels, so
-        # under the same cap the status is the reference's or "undecided"
+        # read under the same cap the status is the reference's or "undecided"
         compared, kinds = 0, set()
         for a, b, c, p, ell, cap in seeded_local_cases(11, 300):
             try:
                 expected, _ = reference_solvable_over_Ql(a, b, c, p, ell, cap)
             except ReferenceTooSlow:
                 continue
-            res = solvable_over_Ql(a, b, c, p, ell, cap)
-            assert res.status in (expected, "undecided"), (a, b, c, p, ell, cap)
+            res = solvable_over_Ql(a, b, c, p, ell)
+            status = capped(res, cap)
+            assert status in (expected, "undecided"), (a, b, c, p, ell, cap)
             if expected == "undecided":
-                assert res.status == "undecided", (a, b, c, p, ell, cap)
+                assert status == "undecided", (a, b, c, p, ell, cap)
             else:
-                assert solvable_over_Ql(a, b, c, p, ell).status == expected, (a, b, c, p, ell)
-            if res.status != "undecided":
+                assert res.status == expected, (a, b, c, p, ell)
+            if status != "undecided":
                 assert 1 <= res.levels_explored <= cap
             if res.status == "solvable":
                 assert check_witness(a, b, c, p, ell, res.witness)
             compared += 1
-            kinds.add(res.status)
+            kinds.add(status)
             if (a * b * c) % p == 0:
                 kinds.add("p | abc")
             if any(valuation(x, ell) >= 2 for x in (a, b, c)):
@@ -832,11 +841,12 @@ class TestSolvableOverQl:
         assert check_witness(1, 50, 50, 5, 5, res.witness)
 
     def test_rejects_bad_exponent_place_and_depth(self):
-        bad = [(0, 3, None), (-3, 3, None), (2, 3, None), (9, 3, None), (3, -3, None),
-               (3, 1, None), (3, 3, 0)]
-        for p, ell, max_level in bad:
+        for p, ell in ((0, 3), (-3, 3), (2, 3), (9, 3), (3, -3), (3, 1)):
             with pytest.raises(PreconditionError):
-                solvable_over_Ql(1, 1, 1, p, ell, max_level)
+                solvable_over_Ql(1, 1, 1, p, ell)
+        # the verdict is exact, so no depth cap is taken
+        with pytest.raises(TypeError):
+            solvable_over_Ql(1, 1, 1, 3, 3, 1)
 
 
 class TestHasLocalObstruction:

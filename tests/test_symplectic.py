@@ -50,12 +50,6 @@ class TestCriterionAtTwo:
     def test_plus_branch_always_symplectic(self):
         assert criterion_at_two(8, 4, 1) is SymplecticType.SYMPLECTIC
 
-    def test_rejects_missing_inertia_flags(self):
-        with pytest.raises(CriterionError):
-            criterion_at_two(10, 4, -1, frey_sl2f3=False)
-        with pytest.raises(CriterionError):
-            criterion_at_two(10, 4, -1, candidate_sl2f3=False)
-
     def test_rejects_bad_legendre_value(self):
         with pytest.raises(CriterionError):
             criterion_at_two(10, 4, 0)
