@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Six subcommands wrap the library pipelines with reproducible text and JSON
-output: identical inputs give byte-identical JSON except for elapsed_ms
-fields.  Each command builds its answer once, as the JSON document; the text
-output is rendered from that document, and only without --json.  A command
-imports the modules it runs when it runs, so a start-up loads only this one.
+Six subcommands wrap the library pipelines with reproducible output: the
+same input gives the same JSON bytes but for obstruct's and sweep's one
+elapsed_ms field.  Each command builds its answer once, as the JSON document,
+and renders text from it only without --json.  A command imports what it
+runs, json included, when it runs, so a start-up loads only this module.
 Exit codes: 0 success, 1 when undecided results are present, 2 for usage or
 data errors (FermatsymError and OSError).
 """
@@ -12,7 +12,6 @@ data errors (FermatsymError and OSError).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -66,13 +65,14 @@ def _json(value, pad: str = "\n") -> str:
     if not isinstance(value, (dict, list, tuple)) or not value:
         return _dumps(value)
     inner = pad + "  "
-    if _SCALARS.issuperset(map(type, value.values() if isinstance(value, dict) else value)):
+    types = set(map(type, value.values() if isinstance(value, dict) else value))
+    if types <= _SCALARS:
         body = _dumps(value, "," + inner)
         return body[0] + inner + body[1:-1] + pad + body[-1]
     if isinstance(value, dict):
         items = ("," + inner).join(f"{_dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
         return "{" + inner + items + pad + "}"
-    if set(map(type, value)) == {dict} and all(value):
+    if types == {dict} and all(value):
         if _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value)))):
             deeper = inner + "  "
             body = _dumps(value, "," + deeper)[2:-2]
@@ -82,7 +82,8 @@ def _json(value, pad: str = "\n") -> str:
 
 
 def _dumps(value, separator: str = ",") -> str:
-    return json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(separator, ": "))
+    import json
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, check_circular=False, separators=(separator, ": "))
 
 
 def _classes_json(classes, dens) -> dict:
@@ -264,7 +265,9 @@ def cmd_sweep(args) -> int:
     if args.jobs != 1:
         raise CliError(f"--jobs takes only 1 (sweep runs in one process), got {args.jobs}")
     a, b, c = _parse_equation(args.eq)
-    entries = localobs.sweep(a, b, c, args.pmin, args.pmax, args.kmax)
+    started = time.monotonic_ns()
+    rows = localobs.sweep(a, b, c, args.pmin, args.pmax, args.kmax)
+    elapsed_ms = (time.monotonic_ns() - started) // 1_000_000
     doc = {
         "command": "sweep",
         "equation": [a, b, c],
@@ -272,18 +275,13 @@ def cmd_sweep(args) -> int:
         "p_max": args.pmax,
         "k_max": args.kmax,
         "entries": [
-            {
-                "p": e.p,
-                "obstruction": e.obstruction,
-                "k": e.k,
-                "method": "fast_subgroup" if e.obstruction is not None else None,
-                "elapsed_ms": e.elapsed_ms,
-            }
-            for e in entries
+            {"p": p, "obstruction": q, "k": k, "method": "fast_subgroup" if q is not None else None}
+            for p, q, k in rows
         ],
+        "elapsed_ms": elapsed_ms,
     }
     _emit(args, doc, _sweep_text)
-    return EXIT_UNDECIDED if any(e.obstruction is None for e in entries) else EXIT_OK
+    return EXIT_UNDECIDED if any(q is None for _, q, _ in rows) else EXIT_OK
 
 
 def _sweep_text(doc: dict) -> str:
@@ -291,8 +289,7 @@ def _sweep_text(doc: dict) -> str:
     misses = [e["p"] for e in entries if e["obstruction"] is None]
     lines = [f"{'p':>8} {'q':>10} {'k':>5}"]
     for e in entries:
-        q = e["obstruction"] if e["obstruction"] is not None else "-"
-        k = e["k"] if e["k"] is not None else "-"
+        q, k = ("-", "-") if e["obstruction"] is None else (e["obstruction"], e["k"])
         lines.append(f"{e['p']:>8} {q:>10} {k:>5}")
     lines.append(
         f"# {len(entries)} primes, {len(entries) - len(misses)} with obstructions"

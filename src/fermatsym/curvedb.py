@@ -78,13 +78,20 @@ class CurveDatabase:
     """Embedded records plus optional user overrides; immutable after load."""
 
     def __init__(self, overrides: dict[str, CurveRecord] | None = None):
-        self._records = {**_EMBEDDED, **(overrides or {})}
+        self._overrides = overrides or {}
+        self._records = {**_EMBEDDED, **self._overrides}
 
     def get(self, label: str) -> CurveRecord:
         try:
             return self._records[label]
         except KeyError:
             raise UnknownLabelError(f"unknown curve label {label!r}") from None
+
+    def check_overrides(self) -> None:
+        """OverrideFormatError for the first override record that verify rejects."""
+        for report in map(verify, self._overrides.values()):
+            if report.status == "mismatch":
+                raise OverrideFormatError(f"override {report.label}: {'; '.join(report.mismatches)}")
 
     def candidates_for_level(self, level: int) -> list[CurveRecord]:
         found = [rec for rec in self._records.values() if rec.conductor == level]

@@ -324,6 +324,7 @@ def run_equation(
 ) -> EquationReport:
     """Contradiction classes for a x^p + b y^p + c z^p = 0, with density."""
     db = db or CurveDatabase()
+    db.check_overrides()
     scen_list = scenarios(a, b, c, db, scenario_path)
     reports = []
     all_conditions = []

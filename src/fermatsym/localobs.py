@@ -3,16 +3,17 @@
 Where the prime sits:
 
 * good primes ell prime to p*a*b*c, among them every q = kp + 1 of the scan
-  (proved prime by Pocklington's test with the prime p | q - 1, as p > k gives
-  p^2 > q): every F_ell point lifts to Q_ell (smoothness), so level 1 decides,
-  by one rule in _level_one.  The p-th powers in F_ell* are mu_k, so
-  membership is one pow test: three find the points with a zero coordinate.
-  The others (chart x = 1) come from a walk over the powers of t^p for
-  t = 2, 3, ..., which drops each t whose powers return to 1 before k steps,
-  so k is never factored.  About k/p chart points exist, so where k < p one
-  set test over mu_k, the powers of the first t^p that is no square (k is
-  even, so a square cannot span mu_k), decides, with set lookups only if there
-  is a point; elsewhere each step is one pow test, and a walk over a mu_k past
+  (k on a wheel that skips the q divisible by 3 or 5, then proved prime by
+  Pocklington's test with the prime p | q - 1, as p > k gives p^2 > q): every
+  F_ell point lifts to Q_ell (smoothness), so level 1 decides, by one rule in
+  _level_one.  The p-th powers in F_ell* are mu_k, so membership is one pow
+  test: three find the points with a zero coordinate.  The others (chart
+  x = 1) come from a walk over the powers of t^p for t = 2, 3, ..., which
+  drops each t whose powers return to 1 before k steps, so k is never
+  factored.  About k/p chart points exist, so where k < p one set test over
+  mu_k, the powers of the first t^p that is no square (k is even, so a square
+  cannot span mu_k), decides, with set lookups only if there is a point;
+  elsewhere each step is one pow test, and a walk over a mu_k past
   IMAGE_BOUND stops after IMAGE_BOUND steps.  A p-th root is u^(1/p mod k),
   or, when p | k, Adleman-Manders-Miller's: one discrete log in the Sylow
   p-subgroup.  sweep decides most of its q without mu_k: for even k, F_q has a
@@ -38,12 +39,11 @@ Where the prime sits:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
 from . import FermatsymError
-from .ntkernel import factor_small, is_prime, primes_in, valuation
+from .ntkernel import _is_prime, factor_small, is_prime, jacobi, primes_in, valuation
 
 # The most unit p-th powers (mu_k in F_q*, or the p - 1 units t^p mod p^2 at
 # ell = p) one call may walk or build: past it a bad prime is "undecided" at
@@ -100,14 +100,6 @@ class ObstructionSearch:
     certified: bool  # "no obstruction" proved up to the Weil cutoff
     cutoff: int
     undecided: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class SweepEntry:
-    p: int
-    obstruction: int | None
-    k: int | None
-    elapsed_ms: int
 
 
 def weil_cutoff(p: int) -> int:
@@ -256,15 +248,15 @@ def _chart(p: int, q: int, k: int):
 
 
 def _mu(p: int, q: int, k: int) -> set[int]:
-    """mu_k mod q: the powers of the first t^p that is no square, (t^p)^(k/2) != 1."""
+    """mu_k mod q: the powers of the first t^p that is no square, (t^p)^(k/2) != 1,
+    which by Euler's criterion is (t/ell) != 1 for the prime ell under q."""
+    ell = q if q % p else p  # q is a prime, or p^2 at ell = p
     for t in itertools.count(2):
-        mu, w = {1}, pow(t, p, q)
-        if pow(w, k // 2, q) == 1:
+        if jacobi(t, ell) == 1:
             continue
-        s = w
-        while s != 1:
+        mu, s, w = {1}, 1, pow(t, p, q)
+        while (s := s * w % q) != 1:
             mu.add(s)
-            s = s * w % q
         if len(mu) == k:
             return mu
 
@@ -381,34 +373,37 @@ def has_local_obstruction(a: int, b: int, c: int, p: int, k_max: int = 200) -> O
     """
     _check_exponent(p)
     _check_k_max(k_max)
-    eq = (a, b, c)
-    cutoff = weil_cutoff(p)
-    undecided = []
+    eq, cutoff, undecided = (a, b, c), weil_cutoff(p), []
     for ell in bad_primes(a, b, c, p):
         res = solvable_over_Ql(a, b, c, p, ell)
         if res.status == "unsolvable":
             return ObstructionSearch(eq, p, ell, "hensel_descent", None, False, cutoff)
         if res.status == "undecided":
             undecided.append(ell)
-    q, k = _scan_q(a, b, c, p, k_max)
+    q, k = _scan_q(a, b, c, p, _wheel(p, k_max))
     if q is not None:
         return ObstructionSearch(eq, p, q, "fast_subgroup", k, False, cutoff)
     certified = k_max * p + 1 >= cutoff and not undecided
     return ObstructionSearch(eq, p, None, None, None, certified, cutoff, tuple(undecided))
 
 
+def _wheel(p: int, k_max: int):
+    """The even k <= k_max with kp + 1 prime to 15 (any other kp + 1 >= 7 is composite), lazily."""
+    return (k for k in range(2, k_max + 1, 2) if (k * p + 1) % 3 and (k * p + 1) % 5)
+
+
 def _scan_q(
-    a: int, b: int, c: int, p: int, k_max: int, tables: dict | None = None
+    a: int, b: int, c: int, p: int, ks, tables: dict | None = None
 ) -> tuple[int | None, int | None]:
-    """(q, k) for the first q = kp + 1 (k even, k <= k_max) prime to abc that
+    """(q, k) for the first q = kp + 1 (k in ks, a _wheel) prime to abc that
     has no F_q point, or (None, None).  The scan stops at the Weil
     cutoff, above which no q can fail.  sweep's tables, k -> D_k or None for
     the k it allows, build D_k at k's first q.  Then q not dividing D_k means
     "no point"; where it divides D_k, _level_one must find the point."""
     cutoff, abc = weil_cutoff(p), a * b * c
-    for k in range(2, k_max + 1, 2):
+    for k in ks:
         q = k * p + 1
-        if not is_prime(q, p) or abc % q == 0:
+        if not _is_prime(q, p) or abc % q == 0:
             continue
         if q > cutoff:
             break
@@ -426,15 +421,15 @@ def _scan_q(
     return None, None
 
 
-def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> list[SweepEntry]:
-    """First obstruction prime of the form kp + 1 for each prime p in range.
+def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> list[tuple]:
+    """(p, q, k) for each odd prime p in [p_min, p_max), in order: the first
+    obstruction prime q = kp + 1, or (p, None, None).
 
     Only the F_q test at q = kp + 1 is used here (the fast mode matching the
     large-exponent claims); per-prime Q_ell analysis is has_local_obstruction's
     job.  Deterministic for fixed k_max.  One table of D_k serves the whole
-    call, for the k with k^2 bitlen(|a| + |b| + |c|) <= TABLE_BITS (see
-    _scan_q); an entry's elapsed_ms runs from the end of the previous entry
-    (the first from the end of the sieve), so it is its own scan, a build included.
+    call, for the k with k^2 bitlen(|a| + |b| + |c|) <= TABLE_BITS, and one
+    _wheel for each p mod 15 that occurs (see _scan_q).
     """
     _check_k_max(k_max)
     if p_min > p_max:
@@ -443,10 +438,6 @@ def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> l
         raise PreconditionError(f"[{p_min}, {p_max}) is wider than SWEEP_BOUND or ends past its square")
     k_table = isqrt(TABLE_BITS // ((abs(a) + abs(b) + abs(c)).bit_length() or 1))
     primes = primes_in(p_min, p_max)
-    entries, tables, clock = [], dict.fromkeys(range(2, k_table + 1, 2)), time.monotonic_ns()
-    for p in primes:
-        if p > 2:
-            q, k = _scan_q(a, b, c, p, k_max, tables)
-            started, clock = clock, time.monotonic_ns()
-            entries.append(SweepEntry(p, q, k, (clock - started) // 1_000_000))
-    return entries
+    tables = dict.fromkeys(range(2, k_table + 1, 2))
+    wheels = {r: list(_wheel(r, k_max)) for r in {p % 15 for p in primes}}
+    return [(p, *_scan_q(a, b, c, p, wheels[p % 15], tables)) for p in primes if p > 2]

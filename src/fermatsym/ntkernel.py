@@ -65,12 +65,16 @@ def jacobi(n: int, m: int) -> int:
     return result if m == 1 else 0
 
 
-def is_prime(n: int, f: int | None = None) -> bool:
-    """Deterministic primality test for 0 <= n < psi_13 (about 3.3e24);
-    FactorizationError past it unless a witness prime divides n.  A prime f
-    with f | n - 1 and f^2 > n adds Pocklington's test: 2^(n-1) != 1 mod n
-    shows n composite, and gcd(2^((n-1)/f) - 1, n) = 1 prime, as then each
-    prime r | n has f | ord_r(2) | r - 1, so r > sqrt(n).  Else Miller-Rabin."""
+def is_prime(n: int) -> bool:
+    """Exact for 0 <= n < psi_13 (3.3e24); FactorizationError past it unless a witness prime divides n."""
+    return _is_prime(n, 0)
+
+
+def _is_prime(n: int, f: int) -> bool:
+    """is_prime(n), by Pocklington's test first where f | n - 1 and f^2 > n:
+    2^(n-1) != 1 mod n shows n composite, gcd(2^((n-1)/f) - 1, n) = 1 prime, as
+    each prime r | n then has f | ord_r(2) | r - 1, so r > sqrt(n).  That needs
+    a prime f: only the q-scan passes one, the p of q = kp + 1."""
     if n < 0:
         raise ValueError("is_prime expects a non-negative integer")
     if not (n % 3 and n % 5 and n % 7 and n % 11 and n % 13):  # cheaper than the gcd

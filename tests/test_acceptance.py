@@ -112,14 +112,14 @@ def test_criterion_4_local_obstruction_claims():
 def test_criterion_5_sweep_to_ten_thousand():
     started = time.monotonic()
     for eq in ((3, 8, 21), (3, 4, 5)):
-        entries = sweep(*eq, 11, 10**4, k_max=200)
-        assert [e.p for e in entries] == primes_in(11, 10**4)
-        misses = [e.p for e in entries if e.obstruction is None]
+        rows = sweep(*eq, 11, 10**4, k_max=200)
+        assert [p for p, _, _ in rows] == primes_in(11, 10**4)
+        misses = [p for p, q, _ in rows if q is None]
         assert misses == [], f"{eq}: no obstruction for {misses}"
-        for e in entries:
-            assert e.k is not None and e.k <= 200 and e.k % 2 == 0
-            if is_prime(2 * e.p + 1):
-                assert e.obstruction == 2 * e.p + 1, (eq, e)
+        for p, q, k in rows:
+            assert k is not None and k <= 200 and k % 2 == 0
+            if is_prime(2 * p + 1):
+                assert q == 2 * p + 1, (eq, p, q, k)
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"took {elapsed:.1f}s"
     report(5, f"both equations, 11 <= p < 10^4: obstruction found for every p ({elapsed:.1f}s)")

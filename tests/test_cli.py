@@ -320,9 +320,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "eq, digest",
         [
-            ("3,4,5", "1b3460848c29f102d0a494967c30111f4a873e6f491b88490720f3e6126ed38b"),
-            ("3,8,21", "81c1570988ab9b6fc9a5febdc7dfd24dc5f84762000e18284ce899fbb8c0bf6e"),
+            ("3,4,5", "396d540ec32da0f5499c49c8b9464bee728b535db48fb0d2f39466e20b46fa23"),
+            ("3,8,21", "ed2391176f8ca4bedcd22db14506c31b29488b09aac5a9f234c4cdcf4a71f06a"),
         ],
+        ids=["3,4,5", "3,8,21"],
     )
     def test_json_bytes_are_pinned(self, capsys, eq, digest):
         # every (p, q, k) of a 2 000-exponent window; a change to any entry fails here
@@ -331,9 +332,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "eq, digest",
         [
-            ("3,4,5", "73f956a78b8ec6189524e8074176368586b0cb10d085412b51fe2d7b4dbfd297"),
-            ("3,8,21", "0c72c661f88f67776c2a2c4a0c7623b893d45cfef27952ca24dde0cca2640dcc"),
+            ("3,4,5", "d7011bd36725958fd7fe113e5b21c790dc9ea7bf263c42c8011265ba275d8d53"),
+            ("3,8,21", "849e2acf33d520c5af7bdf62804a841c990d2156fed9d7adc339e05d884f6ae3"),
         ],
+        ids=["3,4,5", "3,8,21"],
     )
     def test_json_bytes_are_pinned_past_q_of_a_million(self, capsys, eq, digest):
         # the 168 exponents of [99 000, 101 000), where each q = kp + 1 with
@@ -536,6 +538,33 @@ class TestOverridesPlumbing:
         assert exc.value.code == 2
         assert "unrecognized arguments: --overrides" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, mismatch",
+        [
+            (
+                "168a1 | 168 | 1 | 2:5,3:1,7:1 | addpg | true | [0,1,0,-7,-10]",
+                "disc valuations: model gives {2: 4, 3: 1, 7: 1}, record claims {2: 5, 3: 1, 7: 1}",
+            ),
+            (
+                "77z2 | 77 | 1 | 7:3,11:5 | mult | false | [1,1,1,-4,5]",
+                "disc valuations: model gives {2: 8, 3: 2, 7: 1}, record claims {7: 3, 11: 5}",
+            ),
+        ],
+        ids=["candidate", "no_candidate"],
+    )
+    def test_analyze_refuses_a_record_that_curve_calls_a_mismatch(self, capsys, tmp_path, line, mismatch):
+        # 168a1 is a candidate at level 168 of 3,8,21; 77z2 is at no level of it
+        path = tmp_path / "curves.txt"
+        path.write_text(line + "\n")
+        label = line.split()[0]
+        code, out, _ = run_cli(capsys, "curve", label, "--overrides", str(path))
+        assert code == 2
+        assert "verification: mismatch" in out and mismatch in out
+        code, out, err = run_cli(capsys, "analyze", "--eq", "3,8,21", "--overrides", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: override {label}: ") and mismatch in err
+        assert "Traceback" not in err
+
     def test_missing_override_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "curve", "168a1", "--overrides", "/nonexistent/zzz")
         assert code == 2
@@ -682,7 +711,7 @@ density 3/8; valid for p ≥ 5
 """,
     ),
     "analyze_nothing_eliminated": (
-        ["analyze", "--eq", "1,1,1", "--scenarios", "SCENARIOS", "--overrides", "CURVES"], 0,
+        ["analyze", "--eq", "1,1,1", "--scenarios", "SCENARIOS", "--overrides", "UNVERIFIABLE"], 0,
         """\
 equation 1*x^p + 1*y^p + 1*z^p = 0
 no exponent class is eliminated
@@ -718,16 +747,21 @@ class TestTextOutput:
     @pytest.mark.parametrize("name", TEXT_PINS)
     def test_full_text_is_pinned(self, capsys, tmp_path, name):
         argv, want_code, want_out = TEXT_PINS[name]
-        curves = tmp_path / "curves.txt"
-        curves.write_text(
+        # analyze refuses CURVES, whose 42z2 is a mismatch; records without a
+        # model, as in UNVERIFIABLE, are used unverified
+        unverifiable = (
             "42z1 | 42 | -1 | 2:8,3:2,7:1 | mult | false | -\n"
-            "42z2 | 42 | 1 | 2:8,3:2,7:2 | mult | false | [1,1,1,-4,5]\n"
             "77z1 | 77 | 1 | 7:3,11:5 | mult | false | -\n"
         )
-        scenarios = tmp_path / "scenarios.txt"
-        scenarios.write_text("1,1,1 | y_odd | 77 | 7:3,11:5 | 77z1 | p>=5\n")
-        files = {"CURVES": str(curves), "SCENARIOS": str(scenarios)}
-        argv = [files.get(arg, arg) for arg in argv]
+        texts = {
+            "CURVES": unverifiable + "42z2 | 42 | 1 | 2:8,3:2,7:2 | mult | false | [1,1,1,-4,5]\n",
+            "UNVERIFIABLE": unverifiable,
+            "SCENARIOS": "1,1,1 | y_odd | 77 | 7:3,11:5 | 77z1 | p>=5\n",
+        }
+        files = {name: tmp_path / f"{name.lower()}.txt" for name in texts}
+        for name, text in texts.items():
+            files[name].write_text(text)
+        argv = [str(files[arg]) if arg in files else arg for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (want_code, want_out, "")
 

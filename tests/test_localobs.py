@@ -26,6 +26,7 @@ from fermatsym.localobs import (
     _pth_root,
     _root,
     _scan_q,
+    _wheel,
     bad_primes,
     check_witness,
     has_local_obstruction,
@@ -510,7 +511,7 @@ class TestSolvableModQFast:
                     ),
                     (None, None),
                 )
-                assert _scan_q(a, b, c, p, 12) == expected_scan, (a, b, c, p)
+                assert _scan_q(a, b, c, p, _wheel(p, 12)) == expected_scan, (a, b, c, p)
         assert kinds == {True, False}
 
     def test_obstruction_integer_equals_the_circulant_oracle(self):
@@ -627,7 +628,7 @@ class TestSolvableModQFast:
             raise AssertionError(f"factor_small({n}) at a good prime")
 
         monkeypatch.setattr("fermatsym.localobs.factor_small", refuse)
-        assert _scan_q(3, 4, 5, 101, 200) == (607, 6)
+        assert _scan_q(3, 4, 5, 101, _wheel(101, 200)) == (607, 6)
         for ell in (7, 13, 19, 37, 1000000009):
             assert solvable_over_Ql(1, 1, 1, 3, ell).status == "solvable"
 
@@ -930,37 +931,60 @@ class TestScanQ:
         triples += [tuple(rng.randint(1, 99) * rng.choice((1, -1)) for _ in range(3)) for _ in range(3)]
         for eq in triples:
             for p in primes_in(3, 3000):
-                assert _scan_q(*eq, p, 200) == reference_scan_q(*eq, p, 200), (eq, p)
+                assert _scan_q(*eq, p, _wheel(p, 200)) == reference_scan_q(*eq, p, 200), (eq, p)
 
     def test_agrees_with_reference_scan_without_obstructions(self):
         # (1 : -1 : 0) is a point mod every q, so each scan runs to k_max or the cutoff
         for p in primes_in(3, 600):
-            assert _scan_q(1, 1, 1, p, 200) == reference_scan_q(1, 1, 1, p, 200) == (None, None)
+            assert _scan_q(1, 1, 1, p, _wheel(p, 200)) == reference_scan_q(1, 1, 1, p, 200) == (None, None)
+
+    def test_the_wheel_skips_only_composite_q(self):
+        # the wheel drops the k with 3 or 5 dividing kp + 1; the scan over it,
+        # alone and in sweep with its D_k tables, finds what the scan over every
+        # even k finds, on 40 seeded triples and three with D_k = 0, at
+        # p = 3, 5, 7, 11, 13 and in two windows past 10^5, for each k_max from
+        # 2 to 12 (k_max = 2 leaves some wheels empty)
+        rng = random.Random(27)
+        triples = [(1, 1, 1), (1, 2, 3), (2, -3, 5)]
+        triples += [tuple(rng.randint(1, 99) * rng.choice((1, -1)) for _ in range(3)) for _ in range(40)]
+        empty = found = 0
+        for lo, hi in ((3, 14), (10**5, 10**5 + 100), (10**6, 10**6 + 100)):
+            primes = primes_in(lo, hi)
+            for k_max in range(2, 13):
+                for p in primes:
+                    ks = list(_wheel(p, k_max))
+                    assert set(ks) <= set(range(2, k_max + 1, 2)) and ks == sorted(ks)
+                    assert not any(is_prime(k * p + 1) for k in range(2, k_max + 1, 2) if k not in ks), (p, k_max)
+                    empty += not ks
+                for eq in triples:
+                    expected = [(p, *reference_scan_q(*eq, p, k_max)) for p in primes]
+                    assert [(p, *_scan_q(*eq, p, _wheel(p, k_max))) for p in primes] == expected, (eq, k_max)
+                    assert sweep(*eq, lo, hi, k_max) == expected, (eq, lo, k_max)
+                    found += sum(q is not None for _, q, _ in expected)
+        assert empty and found > 1000
 
 
 class TestSweep:
     def test_desk_scale_eq2(self):
-        entries = sweep(3, 4, 5, 11, 100)
-        assert entries
-        assert all(e.obstruction is not None for e in entries)
-        assert [e.p for e in entries] == primes_in(11, 100)
+        rows = sweep(3, 4, 5, 11, 100)
+        assert rows
+        assert all(q is not None for _, q, _ in rows)
+        assert [p for p, _, _ in rows] == primes_in(11, 100)
 
     def test_desk_scale_eq1_two_p_plus_one(self):
-        entries = sweep(3, 8, 21, 11, 100)
-        assert all(e.obstruction is not None for e in entries)
-        for e in entries:
-            if is_prime(2 * e.p + 1):
-                assert e.obstruction == 2 * e.p + 1
+        rows = sweep(3, 8, 21, 11, 100)
+        assert all(q is not None for _, q, _ in rows)
+        for p, q, _ in rows:
+            if is_prime(2 * p + 1):
+                assert q == 2 * p + 1
             else:
-                assert e.obstruction > 2 * e.p + 1
+                assert q > 2 * p + 1
 
     def test_empty_range(self):
         assert sweep(3, 4, 5, 40, 40) == []
 
     def test_deterministic(self):
-        a = [(e.p, e.obstruction, e.k) for e in sweep(3, 4, 5, 11, 60)]
-        b = [(e.p, e.obstruction, e.k) for e in sweep(3, 4, 5, 11, 60)]
-        assert a == b
+        assert sweep(3, 4, 5, 11, 60) == sweep(3, 4, 5, 11, 60)
 
     def test_rejects_bad_k_max(self):
         for k_max in (1, KMAX_BOUND + 1):
@@ -982,9 +1006,9 @@ class TestSweep:
     def test_narrow_window_below_the_bound_squared_at_once(self):
         # 60 numbers, not a sieve of the 664 579 base primes below 10^7
         started = time.perf_counter()
-        entries = sweep(3, 4, 5, 10**14 - 60, 10**14)
+        rows = sweep(3, 4, 5, 10**14 - 60, 10**14)
         assert time.perf_counter() - started < 0.5
-        assert [(e.p, e.obstruction, e.k) for e in entries] == [
+        assert rows == [
             (99999999999959, 4799999999998033, 48),
             (99999999999971, 799999999999769, 8),
             (99999999999973, 2199999999999407, 22),
@@ -1016,8 +1040,8 @@ class TestSweepOracle:
         abc = eq[0] * eq[1] * eq[2]
         skipped, decided, past_a_million = set(), 0, 0
         for p_min, p_max in ((11, 3000), (99000, 101000)):
-            for e in sweep(*eq, p_min, p_max):
-                p, rule = e.p, None
+            for p, q, k_found in sweep(*eq, p_min, p_max):
+                rule = None
                 for k in range(2, K + 1, 2):
                     if is_prime(k * p + 1) and abc % (k * p + 1):
                         if p not in E[k]:
@@ -1025,18 +1049,18 @@ class TestSweepOracle:
                             break
                         skipped.add(p)
                 if rule is None:
-                    assert e.k is None or e.k > K, e
+                    assert k_found is None or k_found > K, (p, q, k_found)
                 else:
-                    assert (e.obstruction, e.k) == (rule * p + 1, rule), e
+                    assert (q, k_found) == (rule * p + 1, rule), (p, q, k_found)
                     decided += 1
-                    past_a_million += e.obstruction > 10**6
+                    past_a_million += q > 10**6
         assert skipped and decided > 400 and past_a_million > 20
 
 
 class TestSweepTables:
     @staticmethod
     def table_free(a, b, c, p_min, p_max):
-        return [(p, *_scan_q(a, b, c, p, 200)) for p in primes_in(p_min, p_max) if p > 2]
+        return [(p, *_scan_q(a, b, c, p, _wheel(p, 200))) for p in primes_in(p_min, p_max) if p > 2]
 
     @staticmethod
     def counting_builds(monkeypatch):
@@ -1080,7 +1104,7 @@ class TestSweepTables:
         k_table = isqrt(TABLE_BITS // (abs(eq[0]) + abs(eq[1]) + abs(eq[2])).bit_length())
         for p_min, p_max in ((11, 20), (11, 20000)):
             built.clear()
-            assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, p_min, p_max)] == self.table_free(*eq, p_min, p_max)
+            assert sweep(*eq, p_min, p_max) == self.table_free(*eq, p_min, p_max)
             assert built == self.first_scans(*eq, p_min, p_max, k_table)
         # over the wide window, every table the size bound allows
         assert sorted(k for k, p in built) == list(range(2, k_table + 1, 2))
@@ -1088,19 +1112,19 @@ class TestSweepTables:
     @pytest.mark.parametrize("eq", [(2, -3, 5), (5, 5, 7)])
     def test_zero_tables_fall_back_to_the_set_test(self, monkeypatch, eq):
         built = self.counting_builds(monkeypatch)
-        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 400)] == self.table_free(*eq, 11, 400)
+        assert sweep(*eq, 11, 400) == self.table_free(*eq, 11, 400)
         assert built
 
     def test_huge_coefficients_build_no_table(self, monkeypatch):
         built = self.counting_builds(monkeypatch)
         eq = (10**200 + 1, 3 * 10**199 + 7, -(7 * 10**198 + 3))
-        assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 3000)] == self.table_free(*eq, 11, 3000)
+        assert sweep(*eq, 11, 3000) == self.table_free(*eq, 11, 3000)
         assert built == []
 
     def test_zero_coefficients_as_without_tables(self):
         # the library takes them (the CLI refuses them); every q divides abc = 0
         for eq in ((0, 0, 0), (0, 1, 1)):
-            assert [(e.p, e.obstruction, e.k) for e in sweep(*eq, 11, 60)] == self.table_free(*eq, 11, 60)
+            assert sweep(*eq, 11, 60) == self.table_free(*eq, 11, 60)
 
     def test_a_point_verdict_still_goes_through_the_set_test(self, monkeypatch):
         # a wrong table that says "q divides D_k" at every q: the first q with

@@ -1,13 +1,14 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermatsym.ntkernel import (
     _MR_BOUNDS,
     FactorizationError,
+    _is_prime,
     factor_small,
     is_prime,
     jacobi,
@@ -234,7 +235,7 @@ FERMAT_PSEUDOPRIMES_WITH_A_LARGE_FACTOR = (
 
 
 def pocklington_steps(n, f):
-    """The two steps of is_prime's Pocklington test, without its checks on f:
+    """The two steps of _is_prime's Pocklington test, without its checks on f:
     False (composite), True (prime) or None (left to Miller-Rabin)."""
     x = pow(2, (n - 1) // f, n)
     if pow(x, f, n) != 1:
@@ -259,7 +260,7 @@ class TestPocklington:
         primes = large = 0
         for p, k in pairs:
             q = k * p + 1
-            assert is_prime(q, p) == is_prime(q), (p, k)
+            assert _is_prime(q, p) == is_prime(q), (p, k)
             primes += is_prime(q)
             large += q >= 10**6
         assert len(pairs) > 40000 and primes > 5000 and large > 20000
@@ -278,7 +279,7 @@ class TestPocklington:
             f = max(factor_small(n - 1).factors)
             assert f * f > n, n
             assert pocklington_steps(n, f) is None and pow(2, (n - 1) // f, n) == 1, n
-            assert not is_prime(n, f), n
+            assert not _is_prime(n, f), n
             past_trial_division += min(factors) > 1000
         assert past_trial_division == 18
 
@@ -288,14 +289,51 @@ class TestPocklington:
         for n, f in ((1678541, 2), (2134277, 149), (6955541, 761), (9006401, 433)):
             assert (n - 1) % f == 0 and f * f <= n and pocklington_steps(n, f) is True, n
             assert min(factor_small(n).factors) > 1000, n
-            assert not is_prime(n, f) and not reference_is_prime(n), n
+            assert not _is_prime(n, f) and not reference_is_prime(n), n
 
     def test_ignores_a_factor_that_does_not_divide_n_minus_1(self):
         # f^2 > n but f does not divide n - 1: on a prime n the Fermat step
         # would wrongly say "composite"
         for n, f in ((1000003, 1009), (1000003, 1013), (10**12 + 39, 10**6 + 3)):
             assert (n - 1) % f and f * f > n and pocklington_steps(n, f) is False, n
-            assert is_prime(n, f) and reference_is_prime(n), n
+            assert _is_prime(n, f) and reference_is_prime(n), n
+
+
+def trial_division_is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+# every base-2 Fermat pseudoprime below 10^5 (odd composites n with
+# 2^(n-1) = 1 mod n), the 113 above and four below 10^7 on which Pocklington's
+# gcd step says "prime" for a composite f = (n - 1)/2 or a small prime f
+BASE_2_PSEUDOPRIMES = (
+    *(n for n in range(3, 10**5, 2) if pow(2, n - 1, n) == 1 and not trial_division_is_prime(n)),
+    *FERMAT_PSEUDOPRIMES_WITH_A_LARGE_FACTOR,
+    1678541, 2134277, 6955541, 9006401,
+)
+
+
+class TestPublicIsPrime:
+    def test_takes_no_factor_of_n_minus_1(self):
+        # the composite f = (n - 1)/2 makes Pocklington's gcd step call
+        # 1678541 = 1013 * 1657 prime, so the public test takes no f
+        assert 1678541 == 1013 * 1657 and pocklington_steps(1678541, 839270) is True
+        with pytest.raises(TypeError):
+            is_prime(1678541, 839270)
+        assert not is_prime(1678541)
+
+    def test_rejects_every_listed_base_2_pseudoprime(self):
+        assert len(BASE_2_PSEUDOPRIMES) > 150 and BASE_2_PSEUDOPRIMES[:3] == (341, 561, 645)
+        for n in BASE_2_PSEUDOPRIMES:
+            assert pow(2, n - 1, n) == 1 and not trial_division_is_prime(n), n
+            assert not is_prime(n), n
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.integers(0, 10**7 - 1), st.sampled_from(BASE_2_PSEUDOPRIMES)))
+    @example(1678541)
+    @example(10**7 - 1)
+    def test_agrees_with_trial_division_below_ten_million(self, n):
+        assert is_prime(n) == trial_division_is_prime(n)
 
 
 def reference_primes_in(lo, hi):

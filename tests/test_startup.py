@@ -64,6 +64,41 @@ def test_each_command_loads_only_its_modules(argv, modules):
     assert after == sorted(["fermatsym", "fermatsym.cli", *modules])
 
 
+# whether json is loaded after start-up, after the command in text mode, and
+# after it again with --json
+JSON_LOADED = """
+import contextlib, io, sys
+import fermatsym.cli
+
+loaded = ["json" in sys.modules]
+fermatsym.cli.build_parser()
+for flags in ([], ["--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        fermatsym.cli.main(sys.argv[1:] + flags)
+    loaded.append("json" in sys.modules)
+print(*loaded)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--eq", "3,4,5", "--pmin", "11", "--pmax", "30"],
+        ["obstruct", "--eq", "3,4,5", "--p", "11"],
+        ["local", "--eq", "3,4,5", "--p", "7", "--ell", "29"],
+        ["density", "(-2)=-1 & (2)=-1"],
+        ["curve", "120b1"],
+        ["analyze", "--eq", "3,8,21"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_is_loaded_only_to_write_json(argv):
+    done = subprocess.run(
+        [sys.executable, "-c", JSON_LOADED, *argv], env=ENV, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False", "False", "True"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
