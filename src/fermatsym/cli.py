@@ -12,14 +12,11 @@ data errors (FermatsymError and OSError).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from itertools import chain
 
 from . import FermatsymError
-
-OVERRIDES_ENV = "FERMATSYM_OVERRIDES"
 
 # the types json encodes as a scalar, whatever the indent
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -46,8 +43,7 @@ def _parse_equation(text: str) -> tuple[int, int, int]:
 def _database(args):
     from .curvedb import CurveDatabase, load_overrides
 
-    path = args.overrides or os.environ.get(OVERRIDES_ENV)
-    overrides = load_overrides(path) if path else None
+    overrides = load_overrides(args.overrides) if args.overrides else None
     return CurveDatabase(overrides)
 
 
@@ -136,7 +132,7 @@ def _equation_report_json(report) -> dict:
                 "parity": scen.parity_case,
                 "level": scen.lowered_level,
                 "profile": {
-                    str(ell): {"residue": e.residue, "exact": e.exact}
+                    str(ell): {"residue": e.residue, "exact": e.residue if e.exact else None}
                     for ell, e in sorted(scen.profile.items())
                 },
                 "candidates": list(scen.candidates),
@@ -367,11 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, curves=False):
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         if curves:
-            p.add_argument(
-                "--overrides",
-                metavar="PATH",
-                help=f"curve override file (default from ${OVERRIDES_ENV})",
-            )
+            p.add_argument("--overrides", metavar="PATH", help="curve override file")
 
     p = sub.add_parser("analyze", help="congruence classes of eliminated exponents")
     p.add_argument("--eq", required=True, metavar="A,B,C", help="equation coefficients")

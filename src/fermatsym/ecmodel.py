@@ -2,9 +2,10 @@
 
 This module is the oracle layer: curve-database entries and valuation
 profiles are validated against it.  Minimization takes one prime u, and one
-step of scale factor u, at a time.  For u > 3 three linear congruences fix
-the change of coordinates; at 2 and 3 a search over at most 3*9*27 changes
-stands in for Tate's algorithm: easy to argue, and the inputs are tiny.
+step of scale factor u, at a time.  Three linear congruences fix the change
+of coordinates, up to the at most 4 solutions they have at 2 and 3, which are
+tried in turn: this stands in for Tate's algorithm, easy to argue, and the
+inputs are tiny.
 """
 
 from __future__ import annotations
@@ -114,6 +115,16 @@ def transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> Weiers
     return WeierstrassModel(*coeffs)
 
 
+def _solutions(c: int, rhs: int, m: int) -> range:
+    """The x mod m with c*x = rhs mod m, in increasing order."""
+    g = gcd(c, m)
+    if rhs % g:
+        return range(0)
+    step = m // g
+    x = rhs // g * pow(c // g, -1, step) % step
+    return range(x, m, step)
+
+
 def _reduction_step(model: WeierstrassModel, u: int) -> WeierstrassModel | None:
     """An integral model with delta/u^12 for the prime u, if one exists.
 
@@ -122,25 +133,9 @@ def _reduction_step(model: WeierstrassModel, u: int) -> WeierstrassModel | None:
     every candidate change of coordinates with scale factor u.
     """
     a1, a2, a3 = model.a1, model.a2, model.a3
-    u2, u3 = u * u, u**3
-    if u % 2 and u % 3:
-        # 2 and 3 are units mod u: each of s, r, t solves one linear congruence
-        s = -a1 * pow(2, -1, u) % u
-        r = (s * s + s * a1 - a2) * pow(3, -1, u2) % u2
-        t = -(a3 + r * a1) * pow(2, -1, u3) % u3
-        try:
-            return transform(model, u, r, s, t)
-        except NonIntegralTransformError:
-            return None
-    for s in range(u):
-        if (a1 + 2 * s) % u != 0:
-            continue
-        for r in range(u2):
-            if (a2 - s * a1 + 3 * r - s * s) % u2 != 0:
-                continue
-            for t in range(u3):
-                if (a3 + r * a1 + 2 * t) % u3 != 0:
-                    continue
+    for s in _solutions(2, -a1, u):
+        for r in _solutions(3, s * s + s * a1 - a2, u * u):
+            for t in _solutions(2, -(a3 + r * a1), u**3):
                 try:
                     return transform(model, u, r, s, t)
                 except NonIntegralTransformError:

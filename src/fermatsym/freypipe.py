@@ -47,11 +47,7 @@ class ValuationEntry:
     """v_ell of the Frey discriminant: a residue mod p, exact when known."""
 
     residue: int
-    exact: int | None = None
-
-    def __post_init__(self):
-        if self.exact is not None and self.exact != self.residue:
-            raise ValueError("exact valuation must equal its own residue representative")
+    exact: bool = False  # residue is v_ell itself, not only v_ell mod p
 
 
 @dataclass(frozen=True)
@@ -154,9 +150,7 @@ def scenarios(
 
 
 def _valuation_entry(text: str) -> ValuationEntry:
-    exact = text.endswith("!")
-    v = int(text[:-1] if exact else text)
-    return ValuationEntry(v, v if exact else None)
+    return ValuationEntry(int(text.removesuffix("!")), text.endswith("!"))
 
 
 def parse_scenario_line(line: str) -> FreyScenario:
@@ -224,7 +218,7 @@ def _reduce_modulo_branch(constraint: QRConstraint, legendre_2_p: int) -> QRCons
 
 def _inertia_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
     v2 = scenario.profile.get(2)
-    if v2 is None or v2.exact is None:
+    if v2 is None or not v2.exact:
         raise CriterionError(
             f"candidate {record.label} takes the inertia-at-2 route, which needs an "
             f"exact 2-adic valuation in the {scenario.parity_case} profile"
@@ -237,7 +231,7 @@ def _inertia_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
     subcases = []
     branch_exprs = []
     for eps in (-1, 1):
-        sym = criterion_at_two(v2.exact, record.disc_valuations[2], eps)
+        sym = criterion_at_two(v2.residue, record.disc_valuations[2], eps)
         steps = []
         pending: list[QRConstraint] = []
         for ell in shared_odd:

@@ -14,10 +14,11 @@ Where the prime sits:
   mu_k, the powers of the first t^p that is no square (k is even, so a square
   cannot span mu_k), decides, with set lookups only if there is a point;
   elsewhere each step is one pow test, and a walk over a mu_k past
-  IMAGE_BOUND stops after IMAGE_BOUND steps.  A p-th root is u^(1/p mod k),
-  or, when p | k, Adleman-Manders-Miller's: one discrete log in the Sylow
-  p-subgroup.  sweep decides most of its q without mu_k: for even k, F_q has a
-  point iff q | D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k) prod_{zeta^k = 1}
+  IMAGE_BOUND stops after IMAGE_BOUND steps.  A p-th root is u^(1/p mod m)
+  for q - 1 = p^e m with p prime to m, and when p^2 | q - 1 it also takes
+  one discrete log in the Sylow p-subgroup (Adleman-Manders-Miller).  sweep
+  decides most of its q without mu_k: for even k, F_q has a point iff
+  q | D_k = (a^k - b^k)(a^k - c^k)(b^k - c^k) prod_{zeta^k = 1}
   ((a + b zeta)^k - c^k), an integer free of p (q splits in Q(zeta_k), and
   zeta goes to a generator of mu_k).  A sweep call builds D_k, by
   root-squaring and a Bareiss determinant, at k's first q, where D_k has at
@@ -192,6 +193,7 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
     By smoothness every F_q point lifts to Q_q, so this decides local
     solvability at q.
     """
+    _check_exponent(p)
     if not is_prime(q):
         raise PreconditionError(f"{q} is not prime")
     if q % p != 1:
@@ -203,15 +205,18 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
     return _level_one((a, b, c), p, q) is not None
 
 
-def _pth_root(u: int, p: int, q: int) -> int:
-    """x with x^p = u, for a p-th power u in F_q* with p^2 | q - 1
-    (Adleman-Manders-Miller): with q - 1 = p^e m and p prime to m, u^(1/p mod m)
-    is a root up to an error in the Sylow p-subgroup, removed by one discrete
-    log there, digit by digit in base p with baby and giant steps of sqrt(p)."""
+def _root(u: int, p: int, q: int) -> int:
+    """x with x^p = u mod the prime q, for a p-th power u prime to q
+    (Adleman-Manders-Miller): with q - 1 = p^e m and p prime to m,
+    x = u^(1/p mod m) is a root when e < 2, and else one up to an error in the
+    Sylow p-subgroup, removed by one discrete log there, digit by digit in
+    base p with baby and giant steps of sqrt(p)."""
     m, e = q - 1, 0
     while m % p == 0:
         m, e = m // p, e + 1
     x = pow(u, pow(p, -1, m), q)
+    if e < 2:
+        return x
     error = pow(x, p, q) * pow(u, -1, q) % q  # = g^L with p | L
     rho = next(r for r in itertools.count(2) if pow(r, (q - 1) // p, q) != 1)
     g = pow(rho, m, q)  # order p^e, since rho is no p-th power
@@ -227,12 +232,6 @@ def _pth_root(u: int, p: int, q: int) -> int:
             h, i = h * giant % q, i + 1
         log += (i * steps + baby[h]) * p**j
     return x * pow(g, -(log // p), q) % q
-
-
-def _root(u: int, p: int, q: int) -> int:
-    """x with x^p = u mod the prime q, for a p-th power u prime to q."""
-    k = (q - 1) // gcd(p, q - 1)
-    return pow(u, pow(p, -1, k), q) if k % p else _pth_root(u, p, q)
 
 
 def _chart(p: int, q: int, k: int):

@@ -27,7 +27,6 @@ _MR_BOUNDS = (  # (psi_r, r); psi_8 = psi_7 and psi_10 = psi_11 = psi_9
     (318_665_857_834_031_151_167_461, 12), (3_317_044_064_679_887_385_961_981, 13),
 )
 _MR_LIMIT = _MR_BOUNDS[-1][0]
-_WITNESS_PRODUCT = prod(_MR_WITNESSES)
 
 # is_prime trial-divides by 3 to 13 one at a time, which rejects most odd
 # composites before the gcd with the product of the primes below _TRIAL_LIMIT
@@ -66,7 +65,7 @@ def jacobi(n: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact for 0 <= n < psi_13 (3.3e24); FactorizationError past it unless a witness prime divides n."""
+    """Exact for 0 <= n < psi_13 (3.3e24); FactorizationError past it unless a prime below 1000 divides n."""
     return _is_prime(n, 0)
 
 
@@ -79,10 +78,10 @@ def _is_prime(n: int, f: int) -> bool:
         raise ValueError("is_prime expects a non-negative integer")
     if not (n % 3 and n % 5 and n % 7 and n % 11 and n % 13):  # cheaper than the gcd
         return n in (3, 5, 7, 11, 13)
-    if n >= _MR_LIMIT and gcd(n, _WITNESS_PRODUCT) == 1:
-        raise FactorizationError(f"{n} is past the proven Miller-Rabin bound {_MR_LIMIT}")
     if gcd(n, _TRIAL_PRODUCT) > 1:
         return n in _TRIAL_PRIMES
+    if n >= _MR_LIMIT:
+        raise FactorizationError(f"{n} is past the proven Miller-Rabin bound {_MR_LIMIT}")
     if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
         return n > 1
     if f and f * f > n and (n - 1) % f == 0:

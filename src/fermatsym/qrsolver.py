@@ -67,11 +67,6 @@ TRUE = Atom(QRConstraint(1, 1))
 FALSE = Atom(QRConstraint(1, -1))
 
 
-def atom(n: int, sign: int) -> Atom:
-    """Atom (n/p) = sign with n reduced to its squarefree part."""
-    return Atom(QRConstraint(n, sign))
-
-
 def all_of(exprs) -> SignExpr:
     exprs = tuple(exprs)
     if not exprs:
@@ -183,7 +178,7 @@ class _Parser:
                     if n == 0:
                         self.pos = save
                         self.error("constraint kernel must be nonzero")
-                    return atom(n, sign)
+                    return Atom(QRConstraint(n, sign))
         # not an atom: grouped expression
         self.pos = save + 1
         inner = self.nested(self.parse_expr)
@@ -205,12 +200,16 @@ class _Parser:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.pos = start
             return None
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past Python's limit on the digits of an int
+            count, self.pos = self.pos - digits, start
+            self.error(f"integer of {count} digits is too long")
 
     def _parse_sign(self) -> int:
         self.skip_ws()

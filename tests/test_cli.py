@@ -1,17 +1,19 @@
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatsym import FermatsymError, cli, curvedb, ecmodel, freypipe, localobs, ntkernel, qrsolver, symplectic
@@ -391,6 +393,33 @@ class TestDensity:
         assert code == 2
         assert "column 5" in err
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("(²)=1", 2), ("(3)=1 & (⁵)=-1", 10), (" (" + "7" * 5000 + ")=1", 3)],
+        ids=["superscript", "superscript_after_an_atom", "past_int_digit_limit"],
+    )
+    def test_bad_literal_exit_2(self, capsys, text, column):
+        # digits that int() refuses, by kind or by count, are a parse error
+        code, out, err = run_cli(capsys, "density", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"column {column}" in err
+
+    def test_decimal_digits_of_other_scripts(self, capsys):
+        assert run_cli(capsys, "density", "(١٣)=-1") == run_cli(capsys, "density", "(13)=-1")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([*"()!&|=+- 0123456789²⁵١٣", "7" * 5000, "1" + "0" * 4300]), max_size=12
+        ).map("".join)
+    )
+    def test_any_text_answers_or_exits_2(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["density", text])
+        assert code in (0, 2), text
+        assert "Traceback" not in err.getvalue()
+
     def test_five_odd_primes(self, capsys, schema):
         code, doc, _ = run_json(capsys, schema, "density", "(3)=-1 & (5)=1 & (7)=-1 & (11)=1 & (13)=-1")
         assert code == 0
@@ -479,12 +508,14 @@ class TestOverridesPlumbing:
         assert code == 0
         assert doc["verification"]["status"] == "unverifiable"
 
-    def test_override_env(self, capsys, schema, tmp_path, monkeypatch):
+    def test_override_env_has_no_effect(self, capsys, tmp_path, monkeypatch):
+        # only --overrides names an override file: the environment does not
         path = tmp_path / "curves.txt"
         path.write_text("99z2 | 99 | 1 | 3:1,11:1 | mult | false | -\n")
-        monkeypatch.setenv(cli.OVERRIDES_ENV, str(path))
-        code, doc, _ = run_json(capsys, schema, "curve", "99z2")
-        assert code == 0
+        monkeypatch.setenv("FERMATSYM_OVERRIDES", str(path))
+        code, out, err = run_cli(capsys, "curve", "99z2")
+        assert (code, out) == (2, "")
+        assert "99z2" in err
 
     @pytest.mark.parametrize(
         "line, message",

@@ -38,8 +38,8 @@ def inverse_transform(model, u, r, s, t):
 
 
 def reference_reduction_step(model, u):
-    # the exhaustive search over s mod u, r mod u^2, t mod u^3 that
-    # _reduction_step keeps for u not prime to 6
+    # the exhaustive search over s mod u, r mod u^2, t mod u^3, the
+    # reference for _reduction_step's congruence solutions at every prime
     a1, a2, a3 = model.a1, model.a2, model.a3
     for s in range(u):
         if (a1 + 2 * s) % u != 0:
@@ -192,7 +192,7 @@ class TestMinimalModel:
             _, vals2 = minimal_model(moved)
             assert vals2 == vals
 
-    @pytest.mark.parametrize("ell", [5, 7, 11, 13])
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
     def test_reduction_step_agrees_with_exhaustive_search(self, ell):
         # scaled models reduce, unscaled ones mostly do not; both must agree
         rng = random.Random(ell)

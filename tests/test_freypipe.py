@@ -17,8 +17,8 @@ from fermatsym.freypipe import (
 )
 from fermatsym.ntkernel import jacobi, primes_in
 from fermatsym.qrsolver import (
+    Atom,
     Or,
-    atom,
     decompose,
     parse,
     to_classes,
@@ -28,8 +28,8 @@ from fermatsym.symplectic import QRConstraint, SymplecticType
 from helpers import decisive_kernels
 
 
-def _entry(residue: int, exact: bool = False) -> ValuationEntry:
-    return ValuationEntry(residue, residue if exact else None)
+def atom(n: int, sign: int) -> Atom:
+    return Atom(QRConstraint(n, sign))
 
 
 # The built-in scenarios as Python literals, "*" filled in by the curves at
@@ -38,21 +38,25 @@ def _entry(residue: int, exact: bool = False) -> ValuationEntry:
 REFERENCE = {
     (3, 8, 21): [
         FreyScenario(
-            (3, 8, 21), "y_odd", {2: _entry(10, exact=True), 3: _entry(-2), 7: _entry(2)},
+            (3, 8, 21), "y_odd",
+            {2: ValuationEntry(10, True), 3: ValuationEntry(-2), 7: ValuationEntry(2)},
             168, ("168a1", "168b1"), ExponentFloor(strict=True, bound=7),
         ),
         FreyScenario(
-            (3, 8, 21), "y_even", {2: _entry(-2), 3: _entry(-2), 7: _entry(2)},
+            (3, 8, 21), "y_even",
+            {2: ValuationEntry(-2), 3: ValuationEntry(-2), 7: ValuationEntry(2)},
             42, ("42a1",), ExponentFloor(strict=True, bound=7),
         ),
     ],
     (3, 4, 5): [
         FreyScenario(
-            (3, 4, 5), "y_odd", {2: _entry(8, exact=True), 3: _entry(2), 5: _entry(2)},
+            (3, 4, 5), "y_odd",
+            {2: ValuationEntry(8, True), 3: ValuationEntry(2), 5: ValuationEntry(2)},
             120, ("120a1", "120b1"), ExponentFloor(strict=False, bound=5),
         ),
         FreyScenario(
-            (3, 4, 5), "y_even", {2: _entry(-4), 3: _entry(2), 5: _entry(2)},
+            (3, 4, 5), "y_even",
+            {2: ValuationEntry(-4), 3: ValuationEntry(2), 5: ValuationEntry(2)},
             30, ("30a1",), ExponentFloor(strict=False, bound=5),
         ),
     ],
@@ -67,28 +71,28 @@ class TestScenarios:
     def test_mutating_a_returned_scenario_leaves_the_next_call_unchanged(self):
         for eq in REFERENCE:
             for scen in scenarios(*eq):
-                scen.profile[2] = _entry(1)
-                scen.profile[11] = _entry(1)
+                scen.profile[2] = ValuationEntry(1)
+                scen.profile[11] = ValuationEntry(1)
             assert scenarios(*eq) == REFERENCE[eq]
 
     def test_eq1_y_odd_has_exact_v2(self):
         y_odd, y_even = scenarios(3, 8, 21)
         assert y_odd.parity_case == "y_odd"
         assert y_odd.lowered_level == 168
-        assert y_odd.profile[2] == ValuationEntry(10, 10)
-        assert y_odd.profile[3] == ValuationEntry(-2, None)
-        assert y_odd.profile[7] == ValuationEntry(2, None)
+        assert y_odd.profile[2] == ValuationEntry(10, True)
+        assert y_odd.profile[3] == ValuationEntry(-2, False)
+        assert y_odd.profile[7] == ValuationEntry(2, False)
         assert y_odd.candidates == ("168a1", "168b1")
 
     def test_eq1_y_even_level_42(self):
         _, y_even = scenarios(3, 8, 21)
         assert y_even.lowered_level == 42
-        assert y_even.profile[2] == ValuationEntry(-2, None)
+        assert y_even.profile[2] == ValuationEntry(-2, False)
         assert y_even.candidates == ("42a1",)
 
     def test_eq2_y_even_residue(self):
         _, y_even = scenarios(3, 4, 5)
-        assert y_even.profile[2] == ValuationEntry(-4, None)
+        assert y_even.profile[2] == ValuationEntry(-4, False)
         assert y_even.lowered_level == 30
 
     def test_floors(self):
@@ -99,10 +103,6 @@ class TestScenarios:
     def test_unknown_triple_needs_scenario_file(self):
         with pytest.raises(UnknownEquationError, match="scenario file"):
             scenarios(1, 1, 1)
-
-    def test_exact_must_match_residue(self):
-        with pytest.raises(ValueError):
-            ValuationEntry(10, 4)
 
 
 def _case(eq, parity, label):
@@ -179,7 +179,7 @@ class TestRunCase:
         scen = FreyScenario(
             coefficients=(3, 8, 21),
             parity_case="y_odd",
-            profile={2: ValuationEntry(10, 10), 3: ValuationEntry(-2)},
+            profile={2: ValuationEntry(10, True), 3: ValuationEntry(-2)},
             lowered_level=168,
             candidates=("168a1",),
             exponent_floor=ExponentFloor(True, 7),
@@ -261,8 +261,8 @@ class TestScenarioFiles:
             "3,8,21 | y_odd | 168 | 2:10!,3:-2,7:2 | 168a1,168b1 | p>7"
         )
         assert scen.coefficients == (3, 8, 21)
-        assert scen.profile[2] == ValuationEntry(10, 10)
-        assert scen.profile[3] == ValuationEntry(-2, None)
+        assert scen.profile[2] == ValuationEntry(10, True)
+        assert scen.profile[3] == ValuationEntry(-2, False)
         assert scen.exponent_floor == ExponentFloor(True, 7)
         assert scen == REFERENCE[(3, 8, 21)][0]
 

@@ -23,7 +23,6 @@ from fermatsym.localobs import (
     _lift_root,
     _mu,
     _obstruction_integer,
-    _pth_root,
     _root,
     _scan_q,
     _wheel,
@@ -401,6 +400,11 @@ class TestSolvableModQFast:
         with pytest.raises(PreconditionError):
             solvable_mod_q_fast(1, 1, 1, 3, q)  # (q - 1)/3 p-th powers pass the bound
 
+    @pytest.mark.parametrize("p, q", [(1, 3), (2, 3), (4, 5), (9, 19)])
+    def test_exponent_must_be_an_odd_prime(self, p, q):
+        with pytest.raises(PreconditionError, match="odd prime"):
+            solvable_mod_q_fast(1, 1, 1, p, q)
+
     def test_agrees_with_subgroup_closure(self):
         rng = random.Random(4)
         for _ in range(40):
@@ -435,22 +439,29 @@ class TestSolvableModQFast:
         assert kinds == {"zero coordinate", "chart"}
 
     def test_pth_roots_by_amm_against_brute_force(self):
-        # every q < 10^4 with p^2 | q - 1; all p-th powers for q < 1000, and
-        # a seeded sample of them above
+        # every q < 10^4 with p^2 | q - 1, and the first three q with p prime
+        # to q - 1 and with p || q - 1; all p-th powers for q < 1000, and a
+        # seeded sample of them above
         rng = random.Random(9)
-        count = 0
-        for p in primes_in(3, 100):
-            for q in primes_in(p * p + 1, 10**4):
-                if (q - 1) % (p * p):
+        primes = primes_in(3, 100)
+        count, seen = 0, dict.fromkeys(itertools.product(primes, (0, 1)), 0)
+        for p in primes:
+            for q in primes_in(3, 10**4):
+                e = valuation(q - 1, p)
+                if e < 2 and seen[p, e] == 3:
                     continue
                 roots = {}
                 for x in range(1, q):
                     roots.setdefault(pow(x, p, q), set()).add(x)
                 powers = sorted(roots) if q < 1000 else rng.sample(sorted(roots), 10)
                 for u in powers:
-                    assert _pth_root(u, p, q) in roots[u], (u, p, q)
-                count += 1
+                    assert _root(u, p, q) in roots[u], (u, p, q)
+                if e < 2:
+                    seen[p, e] += 1
+                else:
+                    count += 1
         assert count > 200
+        assert set(seen.values()) == {3}
 
     def test_walk_drops_t_whose_powers_close_early(self):
         # at q = 7, p = 3 the walk from t = 2 closes at once (2^3 = 1), and

@@ -206,9 +206,9 @@ class TestIsPrime:
             for n in (r * 1_000_003, r * 1_000_000_007, r * 1_000_000_000_000_000_003):
                 assert not is_prime(n) and not reference_is_prime(n), n
 
-    def test_refuses_past_psi_13_unless_a_witness_divides(self):
-        for n in [*range(PSI[13], PSI[13] + 100), 10**40 + 1]:
-            if any(n % a == 0 for a in FIRST_13_PRIMES):
+    def test_refuses_past_psi_13_unless_a_prime_below_1000_divides(self):
+        for n in [*range(PSI[13], PSI[13] + 100), 10**40 + 1, 43 * (10**23 + 3)]:
+            if any(n % a == 0 for a in primes_in(2, 1000)):
                 assert not is_prime(n), n
             else:
                 with pytest.raises(FactorizationError):

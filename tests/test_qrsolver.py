@@ -23,7 +23,6 @@ from fermatsym.qrsolver import (
     ParseError,
     _support,
     all_of,
-    atom,
     atoms_of,
     canonicalize,
     character,
@@ -35,6 +34,11 @@ from fermatsym.qrsolver import (
     to_classes,
 )
 from fermatsym.symplectic import QRConstraint
+
+
+def atom(n: int, sign: int) -> Atom:
+    return Atom(QRConstraint(n, sign))
+
 
 # ---------------------------------------------------------------------------
 # reference: classes as (modulus, residues) pairs, by enumerating every
