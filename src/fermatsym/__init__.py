@@ -10,10 +10,10 @@ The library reproduces two kinds of results about a x^p + b y^p + c z^p = 0:
   decided by membership tests in the p-th powers of F_ell* at good primes
   and by valuation cases at bad primes (``localobs``).
 
-Importing the package loads none of its modules: each name in ``__all__``
-is looked up in its home module, which is imported on first use, so a CLI
-command loads only what it runs.  ``FermatsymError`` is the base of the
-errors that the CLI reports as a usage or data error (exit 2).
+``__all__`` holds the calls that give the answers, each looked up in its
+home module, which is imported on first use: importing the package loads
+none, so a CLI command loads only what it runs.  Each refuses an input with
+a ``FermatsymError``, which the CLI reports as a usage or data error (exit 2).
 
 See the README for the CLI and file formats.
 """
@@ -28,46 +28,15 @@ class FermatsymError(Exception):
 
 
 _HOMES = {
-    "CongruenceClassSet": "qrsolver",
-    "CurveDatabase": "curvedb",
-    "CurveRecord": "curvedb",
-    "EquationReport": "freypipe",
-    "FactoredInt": "ntkernel",
-    "FreyScenario": "freypipe",
-    "Invariants": "ecmodel",
-    "LocalResult": "localobs",
-    "ObstructionSearch": "localobs",
-    "QRConstraint": "symplectic",
-    "ReductionKind": "ecmodel",
-    "ReductionType": "ecmodel",
-    "SignExpr": "qrsolver",
-    "SymplecticType": "symplectic",
-    "WeierstrassModel": "ecmodel",
-    "criterion_at_two": "symplectic",
-    "criterion_multiplicative": "symplectic",
-    "density": "qrsolver",
-    "factor_small": "ntkernel",
-    "has_local_obstruction": "localobs",
-    "invariants": "ecmodel",
-    "is_prime": "ntkernel",
-    "jacobi": "ntkernel",
-    "minimal_model": "ecmodel",
-    "pairwise_consistency": "symplectic",
-    "parse": "qrsolver",
-    "pretty": "qrsolver",
-    "reduction_type": "ecmodel",
-    "run_case": "freypipe",
     "run_equation": "freypipe",
-    "scenarios": "freypipe",
-    "simplify": "qrsolver",
-    "solvable_mod_q_fast": "localobs",
+    "has_local_obstruction": "localobs",
     "solvable_over_Ql": "localobs",
-    "squarefree_part": "ntkernel",
     "sweep": "localobs",
+    "parse": "qrsolver",
     "to_classes": "qrsolver",
-    "transform": "ecmodel",
+    "density": "qrsolver",
+    "CurveDatabase": "curvedb",
     "verify": "curvedb",
-    "weil_cutoff": "localobs",
 }
 
 __all__ = ["FermatsymError", *_HOMES]

@@ -26,17 +26,13 @@ EXIT_UNDECIDED = 1
 EXIT_ERROR = 2
 
 
-class CliError(Exception):
-    pass
-
-
 def _parse_equation(text: str) -> tuple[int, int, int]:
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise CliError(f"bad equation {text!r}: expected three comma-separated integers")
+        raise FermatsymError(f"bad equation {text!r}: expected three comma-separated integers")
     if len(parts) != 3 or 0 in parts:
-        raise CliError(f"bad equation {text!r}: expected three nonzero coefficients")
+        raise FermatsymError(f"bad equation {text!r}: expected three nonzero coefficients")
     return parts
 
 
@@ -259,7 +255,7 @@ def cmd_sweep(args) -> int:
     from . import localobs
 
     if args.jobs != 1:
-        raise CliError(f"--jobs takes only 1 (sweep runs in one process), got {args.jobs}")
+        raise FermatsymError(f"--jobs takes only 1 (sweep runs in one process), got {args.jobs}")
     a, b, c = _parse_equation(args.eq)
     started = time.monotonic_ns()
     rows = localobs.sweep(a, b, c, args.pmin, args.pmax, args.kmax)
@@ -297,10 +293,7 @@ def _sweep_text(doc: dict) -> str:
 def cmd_density(args) -> int:
     from . import qrsolver
 
-    try:
-        expr = qrsolver.parse(args.expression)
-    except qrsolver.ParseError as e:
-        raise CliError(f"bad expression: {e}")
+    expr = qrsolver.parse(args.expression)
     classes = qrsolver.to_classes(expr)
     dens = qrsolver.density(classes)
     doc = {
@@ -412,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, FermatsymError, OSError) as e:
+    except (FermatsymError, OSError) as e:
         message = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR

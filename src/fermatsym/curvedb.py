@@ -24,7 +24,7 @@ from .ecmodel import (
     minimal_model,
     reduction_type,
 )
-from .ntkernel import FactorizationError, factor_small, is_prime
+from .ntkernel import FactorizationError, brief, factor_small, is_prime
 
 
 # label | conductor | sign | l:v,... | red2 | sl2f3 | model  (parse_override_line)
@@ -96,7 +96,7 @@ class CurveDatabase:
     def candidates_for_level(self, level: int) -> list[CurveRecord]:
         found = [rec for rec in self._records.values() if rec.conductor == level]
         if not found:
-            raise UnknownLevelError(f"no candidate curves for level {level}")
+            raise UnknownLevelError(f"no candidate curves for level {brief(level)}")
         return found
 
 
@@ -109,20 +109,22 @@ def verify(record: CurveRecord) -> VerificationReport:
     delta = invariants(minimal).delta
     sign = 1 if delta > 0 else -1
     if sign != record.disc_sign:
-        mismatches.append(f"disc sign: model gives {sign}, record claims {record.disc_sign}")
+        mismatches.append(f"disc sign: model gives {sign}, record claims {brief(record.disc_sign)}")
     if vals != record.disc_valuations:
         mismatches.append(
-            f"disc valuations: model gives {vals}, record claims {record.disc_valuations}"
+            f"disc valuations: model gives {vals}, record claims {_shown(record.disc_valuations)}"
         )
-    cond_primes = set(factor_small(record.conductor).factors)
-    if set(record.disc_valuations) != cond_primes:
+    if record.conductor < 1:
+        mismatches.append(f"conductor {brief(record.conductor)} is not positive")
+    elif set(record.disc_valuations) != (cond_primes := set(factor_small(record.conductor).factors)):
         mismatches.append(
-            f"valuation primes {sorted(record.disc_valuations)} differ from "
+            f"valuation primes {_shown(sorted(record.disc_valuations))} differ from "
             f"conductor primes {sorted(cond_primes)}"
         )
     for ell, claimed in sorted(record.reduction_at.items()):
-        actual = reduction_type(minimal, ell)
-        if actual != claimed:
+        if ell < 2 or not is_prime(ell):
+            mismatches.append(f"reduction claimed at {brief(ell)}, which is not prime")
+        elif (actual := reduction_type(minimal, ell)) != claimed:
             mismatches.append(
                 f"reduction at {ell}: model gives {actual.kind.value}"
                 f" (potentially_good={actual.potentially_good}), record claims"
@@ -137,6 +139,13 @@ def verify(record: CurveRecord) -> VerificationReport:
     if mismatches:
         return VerificationReport(record.label, "mismatch", tuple(mismatches))
     return VerificationReport(record.label, "verified")
+
+
+def _shown(values) -> str:
+    """str() of a list or dict of ints, with each int written by brief."""
+    if isinstance(values, dict):
+        return "{" + ", ".join(f"{brief(k)}: {brief(v)}" for k, v in values.items()) + "}"
+    return "[" + ", ".join(map(brief, values)) + "]"
 
 
 # ---------------------------------------------------------------------------

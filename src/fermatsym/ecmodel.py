@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .ntkernel import factor_small, valuation
+from . import FermatsymError
+from .ntkernel import brief, factor_small, valuation
 
 
-class DegenerateModelError(Exception):
+class DegenerateModelError(FermatsymError, ValueError):
     """The coefficients define a singular cubic (discriminant zero)."""
 
 
@@ -39,7 +40,7 @@ class WeierstrassModel:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def __str__(self) -> str:
-        return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
+        return "[" + ",".join(map(brief, self.coefficients())) + "]"
 
 
 @dataclass(frozen=True)

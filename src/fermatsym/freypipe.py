@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import FermatsymError, qrsolver
-from .curvedb import CurveDatabase, CurveRecord, parse_line_file, parse_prime_map, split_fields
+from .curvedb import CurveDatabase, CurveRecord, _shown, parse_line_file, parse_prime_map, split_fields
+from .ntkernel import brief
 from .qrsolver import FALSE, Atom, SignExpr, all_of, any_of
 from .symplectic import (
     CriterionError,
@@ -135,7 +136,7 @@ def scenarios(
     listed = table.get(key, _EMBEDDED.get(key))
     if listed is None:
         raise UnknownEquationError(
-            f"no embedded scenario data for equation {a},{b},{c}; "
+            f"no embedded scenario data for equation {brief(a)},{brief(b)},{brief(c)}; "
             "supply a scenario file (--scenarios) describing its parity cases"
         )
     return [
@@ -218,10 +219,10 @@ def _reduce_modulo_branch(constraint: QRConstraint, legendre_2_p: int) -> QRCons
 
 def _inertia_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
     v2 = scenario.profile.get(2)
-    if v2 is None or not v2.exact:
+    if v2 is None or not v2.exact or 2 not in record.disc_valuations:
         raise CriterionError(
-            f"candidate {record.label} takes the inertia-at-2 route, which needs an "
-            f"exact 2-adic valuation in the {scenario.parity_case} profile"
+            f"candidate {record.label} takes the inertia-at-2 route, which needs an exact "
+            f"2-adic valuation in the {scenario.parity_case} profile and a valuation at 2 in the record"
         )
     shared_odd = sorted(
         ell
@@ -235,8 +236,8 @@ def _inertia_route(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
         steps = []
         pending: list[QRConstraint] = []
         for ell in shared_odd:
-            kernel = criterion_multiplicative(
-                scenario.profile[ell].residue, record.disc_valuations[ell], sym
+            kernel = criterion_multiplicative(  # a missing valuation is 0, which it refuses
+                scenario.profile[ell].residue, record.disc_valuations.get(ell, 0), sym
             )
             reduced = _reduce_modulo_branch(kernel, eps)
             if kernel == QRConstraint(1, -1):  # the type contradicts the valuations
@@ -301,7 +302,7 @@ def run_case(scenario: FreyScenario, record: CurveRecord) -> CaseReport:
     """Elimination condition for one (scenario, candidate-curve) pair."""
     if not set(record.disc_valuations) <= set(scenario.profile):
         raise IncompatibleCandidateError(
-            f"candidate {record.label} has bad primes {record.bad_primes()} outside "
+            f"candidate {record.label} has bad primes {_shown(record.bad_primes())} outside "
             f"the scenario profile primes {sorted(scenario.profile)}"
         )
     if record.inertia_sl2f3_at_2:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from math import comb, gcd, isqrt
 
 from . import FermatsymError
-from .ntkernel import _is_prime, factor_small, is_prime, jacobi, primes_in, valuation
+from .ntkernel import _is_prime, brief, factor_small, is_prime, jacobi, primes_in, valuation
 
 # The most unit p-th powers (mu_k in F_q*, or the p - 1 units t^p mod p^2 at
 # ell = p) one call may walk or build: past it a bad prime is "undecided" at
@@ -109,14 +109,17 @@ def weil_cutoff(p: int) -> int:
     return g2 * g2
 
 
-def _check_exponent(p: int) -> None:
+def _check_equation(a: int, b: int, c: int, p: int = 3) -> None:
+    """Nonzero coefficients, and an odd prime exponent p where the call takes one."""
+    if a == 0 or b == 0 or c == 0:
+        raise PreconditionError("coefficients must be nonzero")
     if p < 3 or not is_prime(p):
-        raise PreconditionError(f"exponent must be an odd prime, got {p}")
+        raise PreconditionError(f"exponent must be an odd prime, got {brief(p)}")
 
 
 def _check_k_max(k_max: int) -> None:
     if not 2 <= k_max <= KMAX_BOUND:
-        raise PreconditionError(f"k_max must be between 2 and KMAX_BOUND = {KMAX_BOUND}, got {k_max}")
+        raise PreconditionError(f"k_max must be between 2 and KMAX_BOUND = {KMAX_BOUND}, got {brief(k_max)}")
 
 
 def _bad_prime(coeffs, p: int, ell: int) -> LocalResult:
@@ -193,9 +196,9 @@ def solvable_mod_q_fast(a: int, b: int, c: int, p: int, q: int) -> bool:
     By smoothness every F_q point lifts to Q_q, so this decides local
     solvability at q.
     """
-    _check_exponent(p)
+    _check_equation(a, b, c, p)
     if not is_prime(q):
-        raise PreconditionError(f"{q} is not prime")
+        raise PreconditionError(f"{brief(q)} is not prime")
     if q % p != 1:
         raise PreconditionError(f"{q} is not 1 mod {p}")
     if (p * a * b * c) % q == 0:
@@ -344,11 +347,9 @@ def solvable_over_Ql(a: int, b: int, c: int, p: int, ell: int) -> LocalResult:
     levels_explored is the level the verdict rests on: the witness level, or
     kappa + max v_ell(c_i) for "unsolvable" (1 at a good prime).  A mu_k past
     IMAGE_BOUND gives "undecided" instead."""
-    _check_exponent(p)
+    _check_equation(a, b, c, p)
     if ell < 2 or not is_prime(ell):
-        raise PreconditionError(f"{ell} is not prime")
-    if a == 0 or b == 0 or c == 0:
-        raise PreconditionError("coefficients must be nonzero")
+        raise PreconditionError(f"{brief(ell)} is not prime")
     if (p * a * b * c) % ell:
         try:
             witness = _level_one((a, b, c), p, ell)
@@ -370,7 +371,7 @@ def has_local_obstruction(a: int, b: int, c: int, p: int, k_max: int = 200) -> O
     covered every prime q = 1 mod p below the Weil cutoff and no bad prime
     came back undecided.
     """
-    _check_exponent(p)
+    _check_equation(a, b, c, p)
     _check_k_max(k_max)
     eq, cutoff, undecided = (a, b, c), weil_cutoff(p), []
     for ell in bad_primes(a, b, c, p):
@@ -430,11 +431,12 @@ def sweep(a: int, b: int, c: int, p_min: int, p_max: int, k_max: int = 200) -> l
     call, for the k with k^2 bitlen(|a| + |b| + |c|) <= TABLE_BITS, and one
     _wheel for each p mod 15 that occurs (see _scan_q).
     """
+    _check_equation(a, b, c)
     _check_k_max(k_max)
     if p_min > p_max:
-        raise PreconditionError(f"p_min {p_min} is above p_max {p_max}")
+        raise PreconditionError(f"p_min {brief(p_min)} is above p_max {brief(p_max)}")
     if p_max - p_min > SWEEP_BOUND or p_max > SWEEP_BOUND**2:
-        raise PreconditionError(f"[{p_min}, {p_max}) is wider than SWEEP_BOUND or ends past its square")
+        raise PreconditionError(f"[{brief(p_min)}, {brief(p_max)}) is wider than SWEEP_BOUND or ends past its square")
     k_table = isqrt(TABLE_BITS // ((abs(a) + abs(b) + abs(c)).bit_length() or 1))
     primes = primes_in(p_min, p_max)
     tables = dict.fromkeys(range(2, k_table + 1, 2))

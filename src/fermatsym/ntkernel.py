@@ -46,6 +46,12 @@ class FactoredInt:
     factors: dict[int, int] = field(default_factory=dict)
 
 
+def brief(n: int) -> str:
+    """n for a message, written as its bit length past about 100 digits: str()
+    refuses an int of more than 4,300 digits, and no reader needs them all."""
+    return str(n) if n.bit_length() <= 332 else f"<{n.bit_length()}-bit integer>"
+
+
 def jacobi(n: int, m: int) -> int:
     """Jacobi symbol (n/m) for odd positive m; the Legendre symbol when m is prime."""
     if m <= 0 or m % 2 == 0:
@@ -81,7 +87,7 @@ def _is_prime(n: int, f: int) -> bool:
     if gcd(n, _TRIAL_PRODUCT) > 1:
         return n in _TRIAL_PRIMES
     if n >= _MR_LIMIT:
-        raise FactorizationError(f"{n} is past the proven Miller-Rabin bound {_MR_LIMIT}")
+        raise FactorizationError(f"{brief(n)} is past the proven Miller-Rabin bound {_MR_LIMIT}")
     if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
         return n > 1
     if f and f * f > n and (n - 1) % f == 0:
@@ -160,15 +166,13 @@ def factor_small(n: int) -> FactoredInt:
         d += 6
     if n > 1:
         if n > bound * bound:
-            raise FactorizationError(f"cofactor {n} exceeds trial-division bound {bound}")
+            raise FactorizationError(f"cofactor {brief(n)} exceeds trial-division bound {bound}")
         factors[n] = factors.get(n, 0) + 1
     return FactoredInt(sign, factors)
 
 
 def squarefree_part(n: int) -> int:
-    """The squarefree s with n = s * t**2 and sign(s) = sign(n)."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
+    """The squarefree s with n = s * t**2 and sign(s) = sign(n), for nonzero n."""
     fac = factor_small(n)
     s = fac.sign
     for p, e in fac.factors.items():
@@ -178,9 +182,9 @@ def squarefree_part(n: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """v_p(n) for nonzero n."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
+    """v_p(n) for nonzero n and p >= 2."""
+    if n == 0 or p < 2:
+        raise ValueError(f"valuation of {brief(n)} at {brief(p)} is undefined")
     v = 0
     n = abs(n)
     while n % p == 0:

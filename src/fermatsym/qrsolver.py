@@ -27,9 +27,9 @@ from .ntkernel import factor_small, jacobi
 from .symplectic import QRConstraint
 
 
-class ParseError(Exception):
+class ParseError(FermatsymError):
     def __init__(self, message: str, column: int):
-        super().__init__(f"{message} at column {column}")
+        super().__init__(f"bad expression: {message} at column {column}")
         self.column = column
 
 

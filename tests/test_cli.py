@@ -614,14 +614,16 @@ class TestOverridesPlumbing:
 
 
 class TestErrorMapping:
-    # main reports these ten and OSError as usage or data errors (exit 2)
+    # main reports these twelve and OSError as usage or data errors (exit 2)
     EXIT_2 = (
         curvedb.UnknownLabelError,
         curvedb.UnknownLevelError,
         curvedb.OverrideFormatError,
+        ecmodel.DegenerateModelError,
         localobs.PreconditionError,
         ntkernel.FactorizationError,
         qrsolver.ClassBoundError,
+        qrsolver.ParseError,
         freypipe.UnknownEquationError,
         freypipe.ScenarioFormatError,
         freypipe.IncompatibleCandidateError,
@@ -629,20 +631,22 @@ class TestErrorMapping:
     )
     # faults of the program, which must not pass for bad input
     RAISED = (
-        ecmodel.DegenerateModelError,
         ecmodel.NonIntegralTransformError,
         localobs._WalkBudgetError,
     )
 
-    def test_the_ten_are_the_fermatsym_errors(self):
+    def test_the_twelve_are_the_fermatsym_errors(self):
         assert set(FermatsymError.__subclasses__()) == set(self.EXIT_2)
-        assert not any(issubclass(e, FermatsymError) for e in (*self.RAISED, qrsolver.ParseError, cli.CliError))
+        assert not any(issubclass(e, FermatsymError) for e in self.RAISED)
+        assert not hasattr(cli, "CliError")
         for error in (curvedb.UnknownLabelError, curvedb.UnknownLevelError):
             assert issubclass(error, KeyError)
-        for error in (curvedb.OverrideFormatError, freypipe.ScenarioFormatError):
+        for error in (curvedb.OverrideFormatError, ecmodel.DegenerateModelError, freypipe.ScenarioFormatError):
             assert issubclass(error, ValueError)
 
-    @pytest.mark.parametrize("error", [*EXIT_2, FileNotFoundError])
+    # a ParseError is built from a message and a column; test_parse_error_exit_2
+    # runs it through main
+    @pytest.mark.parametrize("error", [e for e in (*EXIT_2, FileNotFoundError) if e is not qrsolver.ParseError])
     def test_exit_2(self, capsys, monkeypatch, error):
         def fail(args):
             raise error("the message")
@@ -658,6 +662,31 @@ class TestErrorMapping:
         monkeypatch.setattr(cli, "cmd_density", fail)
         with pytest.raises(error):
             cli.main(["density", "(2)=1"])
+
+
+class TestHugeIntegers:
+    # a message writes an integer past about 100 digits by its bit length, as
+    # str() refuses one past 4,300 digits; the lowered bound refuses at once
+    REFUSED = re.compile(r"error: cofactor <\d+-bit integer> exceeds trial-division bound 1000\n")
+
+    @pytest.fixture(autouse=True)
+    def lower_the_bound(self, monkeypatch):
+        monkeypatch.setattr(ntkernel, "TRIAL_DIVISION_BOUND", 1000)
+
+    def test_obstruct_with_huge_coefficients(self, capsys):
+        a = "7" * 2000
+        code, out, err = run_cli(capsys, "obstruct", "--eq", f"{a},{a},{a}", "--p", "5")
+        assert (code, out) == (2, "") and self.REFUSED.fullmatch(err)
+
+    def test_density_with_a_huge_kernel(self, capsys):
+        code, out, err = run_cli(capsys, "density", f"({'7' * 4000})=1")
+        assert (code, out) == (2, "") and self.REFUSED.fullmatch(err)
+
+    def test_curve_with_a_huge_model_coefficient(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"99z1 | 99 | 1 | 3:2,11:1 | good | false | [0,0,0,{10**1500 + 1},1]\n")
+        code, out, err = run_cli(capsys, "curve", "99z1", "--overrides", str(path))
+        assert (code, out) == (2, "") and self.REFUSED.fullmatch(err)
 
 
 # The full text output of each command.  The text is rendered from the same

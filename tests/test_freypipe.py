@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,17 @@ class TestRunCase:
         )
         with pytest.raises(CriterionError, match="exact"):
             run_case(scen, db.get("120a1"))
+
+    @pytest.mark.parametrize("valuations", [{3: 1, 5: 1}, {2: 4, 5: 1}], ids=["no_v2", "no_v3"])
+    def test_inertia_route_refuses_a_record_without_a_valuation_it_needs(self, valuations):
+        # a record built in code, which the override format would refuse: the
+        # inertia flag needs a valuation at 2, and multiplicative reduction at
+        # 3 one at 3
+        red = parse_override_line("x | 120 | 1 | 2:4,3:1,5:1 | addpg | true | -").reduction_at
+        record = replace(CurveDatabase().get("120a1"), disc_valuations=valuations, reduction_at=red, model=None)
+        (scen,) = [s for s in scenarios(3, 4, 5) if s.parity_case == "y_odd"]
+        with pytest.raises(CriterionError):
+            run_case(scen, record)
 
     def test_incompatible_candidate_rejected(self):
         from fermatsym.freypipe import IncompatibleCandidateError

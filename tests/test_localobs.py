@@ -1006,6 +1006,14 @@ class TestSweep:
         with pytest.raises(PreconditionError):
             sweep(3, 4, 5, 41, 40)
 
+    def test_zero_coefficients_are_refused(self):
+        # by sweep, has_local_obstruction and solvable_over_Ql alike, as by the CLI
+        for eq in ((0, 0, 0), (0, 1, 1), (3, 0, 5), (3, 4, 0)):
+            for call in (lambda: sweep(*eq, 11, 60), lambda: has_local_obstruction(*eq, 5),
+                         lambda: solvable_over_Ql(*eq, 5, 7)):
+                with pytest.raises(PreconditionError, match="nonzero"):
+                    call()
+
     def test_refuses_windows_past_the_bound_at_once(self):
         # never allocated: a sieve of 10^12 bytes, or base primes up to 10^15
         started = time.perf_counter()
@@ -1131,11 +1139,6 @@ class TestSweepTables:
         eq = (10**200 + 1, 3 * 10**199 + 7, -(7 * 10**198 + 3))
         assert sweep(*eq, 11, 3000) == self.table_free(*eq, 11, 3000)
         assert built == []
-
-    def test_zero_coefficients_as_without_tables(self):
-        # the library takes them (the CLI refuses them); every q divides abc = 0
-        for eq in ((0, 0, 0), (0, 1, 1)):
-            assert sweep(*eq, 11, 60) == self.table_free(*eq, 11, 60)
 
     def test_a_point_verdict_still_goes_through_the_set_test(self, monkeypatch):
         # a wrong table that says "q divides D_k" at every q: the first q with
